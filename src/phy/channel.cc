@@ -32,6 +32,14 @@ void ApplyGain(SampleVec& samples, double gain) {
 }
 
 void ApplyCarrierOffset(SampleVec& samples, double cfo, double phase) {
+  if (cfo == 0.0) {
+    // The per-sample angle below is then one value for every n: compute
+    // it once, as for n = 0, and rotate every sample by it.
+    const double theta = 2.0 * std::numbers::pi * cfo * 0.0 + phase;
+    const Sample rotation{std::cos(theta), std::sin(theta)};
+    for (auto& s : samples) s *= rotation;
+    return;
+  }
   for (std::size_t n = 0; n < samples.size(); ++n) {
     const double theta =
         2.0 * std::numbers::pi * cfo * static_cast<double>(n) + phase;

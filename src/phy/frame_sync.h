@@ -38,13 +38,10 @@ class WaveformCorrelator {
 
   // All local peaks with score >= threshold, at least `min_separation`
   // samples apart (the stronger peak wins within a separation window).
+  // Every hit's score and phase are ScoreAt's, bit for bit: an FFT
+  // correlation only picks the offsets worth scoring exactly.
   std::vector<SyncHit> FindPeaks(const SampleVec& rx, double threshold,
                                  std::size_t min_separation) const;
-
-  // The single best-scoring offset in [from, to); returns score 0 when
-  // the range is empty.
-  SyncHit BestInRange(const SampleVec& rx, std::size_t from,
-                      std::size_t to) const;
 
   std::size_t ReferenceLength() const { return reference_.size(); }
 

@@ -129,7 +129,8 @@ std::optional<RecoveredFrame> ReceiverPipeline::DecodeFromPreamble(
 }
 
 std::optional<RecoveredFrame> ReceiverPipeline::DecodeFromPostamble(
-    const phy::SampleVec& samples, const phy::SyncHit& hit) const {
+    const phy::SampleVec& samples, const phy::SyncHit& hit,
+    const std::vector<RecoveredFrame>& found) const {
   const int sps = config_.modem.samples_per_chip;
   const std::int64_t postamble_chip0 =
       static_cast<std::int64_t>(hit.sample_offset);
@@ -154,6 +155,19 @@ std::optional<RecoveredFrame> ReceiverPipeline::DecodeFromPostamble(
       postamble_chip0 -
       static_cast<std::int64_t>(layout.PostambleOffset() * kChipsPerOctet) *
           sps;
+  const std::uint64_t start_sample =
+      frame_start < 0 ? 0 : static_cast<std::uint64_t>(frame_start);
+  // Skip frames already recovered, before decoding the body: same start
+  // offset within a couple of chips of tolerance.
+  const auto tolerance = static_cast<std::uint64_t>(4 * sps);
+  const bool duplicate =
+      std::any_of(found.begin(), found.end(), [&](const RecoveredFrame& f) {
+        const std::uint64_t a = f.frame_start_sample;
+        return (a > start_sample ? a - start_sample : start_sample - a) <=
+               tolerance;
+      });
+  if (duplicate) return std::nullopt;
+
   const std::int64_t header_chip0 =
       frame_start + static_cast<std::int64_t>(frame::kSyncPrefixOctets *
                                               kChipsPerOctet) *
@@ -164,8 +178,7 @@ std::optional<RecoveredFrame> ReceiverPipeline::DecodeFromPostamble(
   RecoveredFrame frame;
   frame.sync = RecoveredFrame::SyncSource::kPostamble;
   frame.sync_score = hit.score;
-  frame.frame_start_sample =
-      frame_start < 0 ? 0 : static_cast<std::uint64_t>(frame_start);
+  frame.frame_start_sample = start_sample;
   frame.header = *header;
   frame.header_from_trailer = true;
   frame.body_symbols = phy::ToLogicalNibbleOrder(body_tx);
@@ -175,7 +188,6 @@ std::optional<RecoveredFrame> ReceiverPipeline::DecodeFromPostamble(
 std::vector<RecoveredFrame> ReceiverPipeline::Process(
     const phy::SampleVec& samples) const {
   std::vector<RecoveredFrame> frames;
-  const int sps = config_.modem.samples_per_chip;
   const std::size_t pattern_len = preamble_correlator_.ReferenceLength();
 
   // Preamble path first, as a live receiver would.
@@ -191,18 +203,9 @@ std::vector<RecoveredFrame> ReceiverPipeline::Process(
   const auto post_hits = postamble_correlator_.FindPeaks(
       samples, config_.sync_threshold, pattern_len);
   for (const auto& hit : post_hits) {
-    auto frame = DecodeFromPostamble(samples, hit);
-    if (!frame.has_value()) continue;
-    // Skip frames already recovered via their preamble: same start
-    // offset (within a couple of chips of tolerance).
-    const auto tolerance = static_cast<std::uint64_t>(4 * sps);
-    const bool duplicate =
-        std::any_of(frames.begin(), frames.end(), [&](const RecoveredFrame& f) {
-          const std::uint64_t a = f.frame_start_sample;
-          const std::uint64_t b = frame->frame_start_sample;
-          return (a > b ? a - b : b - a) <= tolerance;
-        });
-    if (!duplicate) frames.push_back(std::move(*frame));
+    if (auto frame = DecodeFromPostamble(samples, hit, frames)) {
+      frames.push_back(std::move(*frame));
+    }
   }
 
   std::sort(frames.begin(), frames.end(),

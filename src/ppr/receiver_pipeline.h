@@ -85,8 +85,11 @@ class ReceiverPipeline {
  private:
   std::optional<RecoveredFrame> DecodeFromPreamble(
       const phy::SampleVec& samples, const phy::SyncHit& hit) const;
+  // Empty when the trailer does not decode, or when a frame in `found`
+  // already starts where the trailer places this one.
   std::optional<RecoveredFrame> DecodeFromPostamble(
-      const phy::SampleVec& samples, const phy::SyncHit& hit) const;
+      const phy::SampleVec& samples, const phy::SyncHit& hit,
+      const std::vector<RecoveredFrame>& found) const;
 
   // Demodulates + despreads `num_symbols` codewords whose first chip
   // begins at `chip0_sample` (possibly negative region reads as zeros),

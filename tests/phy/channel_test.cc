@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <numbers>
 
 #include "common/rng.h"
 
@@ -84,6 +86,29 @@ TEST(ApplyCarrierOffsetTest, FrequencyAdvancesPhase) {
   EXPECT_NEAR(samples[1].imag(), 1.0, 1e-12);
   EXPECT_NEAR(samples[2].real(), -1.0, 1e-12);
   EXPECT_NEAR(samples[3].imag(), -1.0, 1e-12);
+}
+
+TEST(ApplyCarrierOffsetTest, ZeroOffsetMatchesPerSampleRotationExactly) {
+  // With cfo 0 every sample is rotated by one precomputed factor; the
+  // result must equal rotating each sample by its own angle, bit for bit.
+  Rng rng(72);
+  for (const double phase : {0.0, -0.0, 0.3, -2.9, 5.5}) {
+    for (const double cfo : {0.0, -0.0}) {
+      SampleVec samples(257);
+      for (auto& s : samples) s = Sample{rng.Normal(), rng.Normal()};
+      SampleVec expected = samples;
+      for (std::size_t n = 0; n < expected.size(); ++n) {
+        const double theta =
+            2.0 * std::numbers::pi * cfo * static_cast<double>(n) + phase;
+        expected[n] *= Sample{std::cos(theta), std::sin(theta)};
+      }
+      ApplyCarrierOffset(samples, cfo, phase);
+      ASSERT_EQ(std::memcmp(samples.data(), expected.data(),
+                            samples.size() * sizeof(Sample)),
+                0)
+          << "phase " << phase << ", cfo " << cfo;
+    }
+  }
 }
 
 TEST(ApplyCarrierOffsetTest, PreservesMagnitude) {

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstring>
+#include <numbers>
+#include <string>
+
 #include "common/rng.h"
 #include "frame/frame_format.h"
 #include "phy/channel.h"
@@ -113,15 +119,19 @@ TEST(WaveformCorrelatorTest, NearbyPeaksKeepTheStronger) {
   EXPECT_EQ(hits[0].sample_offset, 50u);
 }
 
-TEST(WaveformCorrelatorTest, BestInRangeFindsMaximum) {
+TEST(WaveformCorrelatorTest, CaptureWideSeparationKeepsTheMaximum) {
+  // With the separation window as wide as the capture, FindPeaks reports
+  // only the best-scoring offset.
   const auto config = TestModem();
   const auto ref = ModulateOctets(config, frame::PreamblePatternOctets());
   const WaveformCorrelator corr(ref);
   SampleVec air(ref.size() + 64, Sample{0.0, 0.0});
   MixInto(air, ref, 17);
-  const auto best = corr.BestInRange(air, 0, air.size());
-  EXPECT_EQ(best.sample_offset, 17u);
-  EXPECT_NEAR(best.score, 1.0, 1e-9);
+  const auto hits = corr.FindPeaks(air, 0.3, air.size());
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].sample_offset, 17u);
+  EXPECT_NEAR(hits[0].score, 1.0, 1e-9);
+  EXPECT_EQ(hits[0].score, corr.ScoreAt(air, 17));
 }
 
 TEST(WaveformCorrelatorTest, EmptyOrShortInputYieldsNoHits) {
@@ -150,14 +160,185 @@ TEST_P(SyncNoiseSweepTest, DetectsPatternAtModerateNoise) {
     SampleVec air(ref.size() + 400, Sample{0.0, 0.0});
     MixInto(air, ref, 123);
     AddAwgn(air, sigma, rng);
-    const auto best = corr.BestInRange(air, 0, air.size());
-    if (best.sample_offset == 123 && best.score >= 0.5) ++detected;
+    // One hit: the best offset, if it scores at least 0.5.
+    const auto hits = corr.FindPeaks(air, 0.5, air.size());
+    if (hits.size() == 1 && hits[0].sample_offset == 123) ++detected;
   }
   EXPECT_GE(detected, 18) << "sigma = " << sigma;
 }
 
 INSTANTIATE_TEST_SUITE_P(NoiseLevels, SyncNoiseSweepTest,
                          ::testing::Values(0.1, 0.3, 0.5));
+
+// FindPeaks against the exhaustive scan it replaces: ScoreAt at every
+// offset, then the same peak picking. The hits must match bit for bit.
+struct Scored {
+  double score = 0.0;
+  double phase = 0.0;
+};
+
+std::vector<Scored> ScoreEveryOffset(const WaveformCorrelator& corr,
+                                     const SampleVec& rx) {
+  std::vector<Scored> scored;
+  for (std::size_t n = 0; n + corr.ReferenceLength() <= rx.size(); ++n) {
+    Scored s;
+    s.score = corr.ScoreAt(rx, n, &s.phase);
+    scored.push_back(s);
+  }
+  return scored;
+}
+
+std::vector<SyncHit> PickPeaks(const std::vector<Scored>& scored,
+                               double threshold, std::size_t min_separation) {
+  std::vector<SyncHit> hits;
+  for (std::size_t n = 0; n < scored.size(); ++n) {
+    const auto [score, phase] = scored[n];
+    if (score < threshold) continue;
+    if (!hits.empty() && n - hits.back().sample_offset < min_separation) {
+      if (score > hits.back().score) hits.back() = SyncHit{n, score, phase};
+      continue;
+    }
+    hits.push_back(SyncHit{n, score, phase});
+  }
+  return hits;
+}
+
+void ExpectBitIdentical(const std::vector<SyncHit>& got,
+                        const std::vector<SyncHit>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].sample_offset, want[i].sample_offset) << what << " #" << i;
+    EXPECT_EQ(std::memcmp(&got[i].score, &want[i].score, sizeof(double)), 0)
+        << what << " #" << i << ": " << got[i].score << " vs " << want[i].score;
+    EXPECT_EQ(std::memcmp(&got[i].phase, &want[i].phase, sizeof(double)), 0)
+        << what << " #" << i << ": " << got[i].phase << " vs " << want[i].phase;
+  }
+}
+
+struct Capture {
+  std::string name;
+  SampleVec samples;
+};
+
+class FindPeaksDifferentialTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FindPeaksDifferentialTest, HitsEqualExhaustiveScan) {
+  ModemConfig config;
+  config.samples_per_chip = GetParam();
+  const auto pre = ModulateOctets(config, frame::PreamblePatternOctets());
+  const auto post = ModulateOctets(config, frame::PostamblePatternOctets());
+  const std::size_t m = pre.size();
+  ASSERT_EQ(post.size(), m);
+  // FindPeaks correlates in FFT blocks of bit_ceil(2M) samples, each
+  // yielding the `step` offsets whose windows it holds.
+  const std::size_t block = std::bit_ceil(2 * m);
+  const std::size_t step = block - m + 1;
+
+  Rng rng(85 + static_cast<std::uint64_t>(GetParam()));
+  const auto noise = [&](std::size_t n, double sigma) {
+    SampleVec air(n, Sample{0.0, 0.0});
+    AddAwgn(air, sigma, rng);
+    return air;
+  };
+  const auto place = [&](SampleVec& air, const SampleVec& pattern,
+                         std::size_t at, double gain) {
+    SampleVec wave = pattern;
+    const double phase = rng.UniformDouble(0.0, 2.0 * std::numbers::pi);
+    ApplyCarrierOffset(wave, 0.0, phase);
+    MixInto(air, wave, at, gain);
+  };
+
+  std::vector<Capture> captures;
+  captures.push_back({"noise only", noise(block + step + 123, 1.0)});
+  captures.push_back({"silence", SampleVec(block + 77, Sample{0.0, 0.0})});
+  {
+    // Faint patterns on both sides of a burst 1e12 times stronger in
+    // power, in the burst's FFT blocks: the rounding of the FFT and of
+    // the running window energy there is far above the faint windows'.
+    SampleVec air = noise(2 * block, 1e-6);
+    place(air, pre, 100, 1e-3);
+    place(air, post, 150 + m, 1e-3);
+    MixInto(air, noise(m, 1e3), block - m / 2);
+    place(air, pre, block + m / 2 + 100, 1e-3);
+    const auto faint = PickPeaks(ScoreEveryOffset(WaveformCorrelator(pre), air),
+                                 0.6, m);
+    ASSERT_EQ(faint.size(), 2u);
+    EXPECT_EQ(faint[0].sample_offset, 100u);
+    EXPECT_EQ(faint[1].sample_offset, block + m / 2 + 100);
+    captures.push_back({"faint frame beside loud burst", std::move(air)});
+  }
+  captures.push_back({"length M-1", noise(m - 1, 0.3)});
+  {
+    SampleVec air = noise(m, 0.3);
+    place(air, pre, 0, 1.0);
+    captures.push_back({"length M", std::move(air)});
+  }
+  {
+    SampleVec air = noise(m + 1, 0.3);
+    place(air, post, 1, 1.0);
+    captures.push_back({"length M+1", std::move(air)});
+  }
+  {
+    SampleVec air = noise(block, 0.3);
+    place(air, pre, block - m, 1.0);
+    place(air, post, 200, 1.0);
+    captures.push_back({"exactly one block", std::move(air)});
+  }
+  for (const std::size_t shift : {std::size_t{0}, std::size_t{2}}) {
+    // Peaks on the last and first offsets of neighbouring blocks.
+    SampleVec air = noise(2 * step + m, 0.3);
+    place(air, pre, step - 1 + shift, 1.0);
+    place(air, post, 2 * step - 2 + shift, 1.0);
+    captures.push_back({"across a block boundary +" + std::to_string(shift),
+                        std::move(air)});
+  }
+  for (int k = 0; k < 5; ++k) {
+    const std::size_t length = m + rng.UniformInt(block);
+    SampleVec air = noise(length, rng.UniformDouble(0.05, 1.0));
+    const auto patterns = rng.UniformInt(4);
+    for (std::uint64_t p = 0; p < patterns && length > m; ++p) {
+      place(air, rng.Bernoulli(0.5) ? pre : post, rng.UniformInt(length - m),
+            rng.UniformDouble(0.2, 2.0));
+    }
+    captures.push_back({"random #" + std::to_string(k), std::move(air)});
+  }
+
+  const WaveformCorrelator correlators[] = {WaveformCorrelator(pre),
+                                            WaveformCorrelator(post)};
+  for (const auto& capture : captures) {
+    for (int c = 0; c < 2; ++c) {
+      const auto& corr = correlators[c];
+      const auto scored = ScoreEveryOffset(corr, capture.samples);
+      // Ties too: thresholds equal to exact scores (the best one and a
+      // random one of at least 0.3), which those offsets must reach.
+      std::vector<double> thresholds = {0.0, 0.3, 0.6};
+      std::vector<double> above;
+      for (const auto& s : scored) {
+        if (s.score >= 0.3) above.push_back(s.score);
+      }
+      if (!above.empty()) {
+        thresholds.push_back(*std::max_element(above.begin(), above.end()));
+        thresholds.push_back(above[rng.UniformInt(above.size())]);
+      }
+      for (const double threshold : thresholds) {
+        // Threshold 0 rescores every offset: one separation is enough.
+        for (const std::size_t separation : {m, std::size_t{1}}) {
+          if (threshold <= 0.0 && separation == 1) continue;
+          ExpectBitIdentical(
+              corr.FindPeaks(capture.samples, threshold, separation),
+              PickPeaks(scored, threshold, separation),
+              capture.name + (c == 0 ? ", preamble" : ", postamble") +
+                  ", threshold " + std::to_string(threshold) +
+                  ", separation " + std::to_string(separation));
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SamplesPerChip, FindPeaksDifferentialTest,
+                         ::testing::Values(2, 4, 8));
 
 }  // namespace
 }  // namespace ppr::phy

@@ -125,10 +125,19 @@ TEST(ReceiverPipelineTest, PreambleFrameNotDuplicatedByPostamble) {
   const auto wave = mod.Modulate(MakeHeader(40), payload);
   phy::SampleVec air(wave.size() + 400, phy::Sample{0.0, 0.0});
   phy::MixInto(air, wave, 200);
+  // Both sync paths find the frame: its preamble at 200, its postamble
+  // where the layout puts it.
+  const std::size_t postamble =
+      200 + frame::FrameLayout(40).PostambleOffset() * 2 *
+                phy::kChipsPerSymbol * config.modem.samples_per_chip;
+  ASSERT_GT(rx.PreambleScoreAt(air, 200), config.sync_threshold);
+  ASSERT_GT(rx.PostambleScoreAt(air, postamble), config.sync_threshold);
   const auto frames = rx.Process(air);
-  // Exactly one frame despite both sync patterns being present.
+  // Reported exactly once, from the preamble path.
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].sync, RecoveredFrame::SyncSource::kPreamble);
+  EXPECT_EQ(frames[0].frame_start_sample, 200u);
+  EXPECT_EQ(frames[0].PayloadBits().ToBytes(), payload);
 }
 
 TEST(ReceiverPipelineTest, TwoBackToBackFramesBothRecovered) {
