@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "phy/msk_modem.h"
@@ -39,15 +40,29 @@ class WaveformCorrelator {
   // All local peaks with score >= threshold, at least `min_separation`
   // samples apart (the stronger peak wins within a separation window).
   // Every hit's score and phase are ScoreAt's, bit for bit: an FFT
-  // correlation only picks the offsets worth scoring exactly.
+  // correlation only picks the offsets worth scoring exactly. This is
+  // FindPeaksTogether of this correlator alone.
   std::vector<SyncHit> FindPeaks(const SampleVec& rx, double threshold,
                                  std::size_t min_separation) const;
 
   std::size_t ReferenceLength() const { return reference_.size(); }
 
  private:
+  friend std::vector<std::vector<SyncHit>> FindPeaksTogether(
+      std::span<const WaveformCorrelator* const> correlators,
+      const SampleVec& rx, double threshold, std::size_t min_separation);
+
   SampleVec reference_;
   double reference_energy_ = 0.0;
 };
+
+// FindPeaks of every correlator over one capture, in one pass: each FFT
+// block's forward transform and window energies are computed once and
+// shared by all the references, which must be equally long
+// (std::invalid_argument otherwise). Returns one hit list per
+// correlator, in order, each equal to that correlator's FindPeaks.
+std::vector<std::vector<SyncHit>> FindPeaksTogether(
+    std::span<const WaveformCorrelator* const> correlators,
+    const SampleVec& rx, double threshold, std::size_t min_separation);
 
 }  // namespace ppr::phy

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdlib>
 
 #include "phy/spreader.h"
 
@@ -122,7 +123,7 @@ std::optional<RecoveredFrame> ReceiverPipeline::DecodeFromPreamble(
   RecoveredFrame frame;
   frame.sync = RecoveredFrame::SyncSource::kPreamble;
   frame.sync_score = hit.score;
-  frame.frame_start_sample = hit.sample_offset;
+  frame.frame_start_sample = frame_start;
   frame.header = *header;
   frame.body_symbols = phy::ToLogicalNibbleOrder(body_tx);
   return frame;
@@ -155,16 +156,11 @@ std::optional<RecoveredFrame> ReceiverPipeline::DecodeFromPostamble(
       postamble_chip0 -
       static_cast<std::int64_t>(layout.PostambleOffset() * kChipsPerOctet) *
           sps;
-  const std::uint64_t start_sample =
-      frame_start < 0 ? 0 : static_cast<std::uint64_t>(frame_start);
   // Skip frames already recovered, before decoding the body: same start
   // offset within a couple of chips of tolerance.
-  const auto tolerance = static_cast<std::uint64_t>(4 * sps);
   const bool duplicate =
       std::any_of(found.begin(), found.end(), [&](const RecoveredFrame& f) {
-        const std::uint64_t a = f.frame_start_sample;
-        return (a > start_sample ? a - start_sample : start_sample - a) <=
-               tolerance;
+        return std::abs(f.frame_start_sample - frame_start) <= 4 * sps;
       });
   if (duplicate) return std::nullopt;
 
@@ -178,7 +174,7 @@ std::optional<RecoveredFrame> ReceiverPipeline::DecodeFromPostamble(
   RecoveredFrame frame;
   frame.sync = RecoveredFrame::SyncSource::kPostamble;
   frame.sync_score = hit.score;
-  frame.frame_start_sample = start_sample;
+  frame.frame_start_sample = frame_start;
   frame.header = *header;
   frame.header_from_trailer = true;
   frame.body_symbols = phy::ToLogicalNibbleOrder(body_tx);
@@ -188,21 +184,22 @@ std::optional<RecoveredFrame> ReceiverPipeline::DecodeFromPostamble(
 std::vector<RecoveredFrame> ReceiverPipeline::Process(
     const phy::SampleVec& samples) const {
   std::vector<RecoveredFrame> frames;
-  const std::size_t pattern_len = preamble_correlator_.ReferenceLength();
+  // Both sync patterns are five octets, so one pass correlates both.
+  const phy::WaveformCorrelator* const correlators[] = {
+      &preamble_correlator_, &postamble_correlator_};
+  const auto hits = phy::FindPeaksTogether(
+      correlators, samples, config_.sync_threshold,
+      preamble_correlator_.ReferenceLength());
 
   // Preamble path first, as a live receiver would.
-  const auto pre_hits = preamble_correlator_.FindPeaks(
-      samples, config_.sync_threshold, pattern_len);
-  for (const auto& hit : pre_hits) {
+  for (const auto& hit : hits[0]) {
     if (auto frame = DecodeFromPreamble(samples, hit)) {
       frames.push_back(std::move(*frame));
     }
   }
 
   // Postamble path recovers frames the preamble path missed.
-  const auto post_hits = postamble_correlator_.FindPeaks(
-      samples, config_.sync_threshold, pattern_len);
-  for (const auto& hit : post_hits) {
+  for (const auto& hit : hits[1]) {
     if (auto frame = DecodeFromPostamble(samples, hit, frames)) {
       frames.push_back(std::move(*frame));
     }
@@ -242,23 +239,26 @@ void StreamingReceiver::Scan(bool final_scan) {
   const auto window =
       buffer_.Window(first, static_cast<std::size_t>(end - first));
   const auto found = pipeline_.Process(window);
-  const auto tolerance = static_cast<std::uint64_t>(
-      4 * config_.modem.samples_per_chip);
+  const std::int64_t sps = config_.modem.samples_per_chip;
   for (const auto& f : found) {
     if (!final_scan) {
       // Defer frames whose tail has not fully arrived; decoding them now
       // would bake in garbage for the missing samples.
       const frame::FrameLayout layout(f.header.length);
-      const std::uint64_t frame_samples =
-          (layout.TotalChips() + 2) *
-          static_cast<std::uint64_t>(config_.modem.samples_per_chip);
-      if (f.frame_start_sample + frame_samples > window.size()) continue;
+      const auto frame_samples =
+          static_cast<std::int64_t>(layout.TotalChips() + 2) * sps;
+      if (f.frame_start_sample + frame_samples >
+          static_cast<std::int64_t>(window.size())) {
+        continue;
+      }
     }
-    const std::uint64_t absolute = first + f.frame_start_sample;
+    // A frame that began before the window keeps its true start, so it
+    // matches the copy an earlier scan emitted.
+    const std::int64_t absolute =
+        static_cast<std::int64_t>(first) + f.frame_start_sample;
     const bool seen = std::any_of(
         frames_.begin(), frames_.end(), [&](const RecoveredFrame& g) {
-          const std::uint64_t a = g.frame_start_sample;
-          return (a > absolute ? a - absolute : absolute - a) <= tolerance;
+          return std::abs(g.frame_start_sample - absolute) <= 4 * sps;
         });
     if (seen) continue;
     RecoveredFrame copy = f;

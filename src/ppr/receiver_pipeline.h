@@ -34,8 +34,10 @@ struct RecoveredFrame {
 
   SyncSource sync = SyncSource::kPreamble;
   double sync_score = 0.0;
-  // Absolute sample index where the frame's first chip begins.
-  std::uint64_t frame_start_sample = 0;
+  // Absolute sample index where the frame's first chip begins; negative
+  // when the postamble's rollback lands before the capture's first
+  // sample.
+  std::int64_t frame_start_sample = 0;
   frame::FrameHeader header;
   bool header_from_trailer = false;  // framed via the trailer replica
 

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstring>
 #include <numbers>
+#include <stdexcept>
 #include <string>
 
 #include "common/rng.h"
@@ -216,6 +217,48 @@ void ExpectBitIdentical(const std::vector<SyncHit>& got,
   }
 }
 
+// Every correlator's FindPeaks, and their FindPeaksTogether, against
+// the exhaustive scan, at thresholds 0, 0.3 and 0.6 and at ties:
+// thresholds equal to exact scores (each scan's best one and a random
+// one of at least 0.3), which those offsets must reach. Separations are
+// `m` and 1.
+void ExpectEveryWayMatchesScan(
+    const std::vector<const WaveformCorrelator*>& correlators,
+    const SampleVec& rx, std::size_t m, Rng& rng, const std::string& what) {
+  std::vector<std::vector<Scored>> scans;
+  std::vector<double> thresholds = {0.0, 0.3, 0.6};
+  for (const WaveformCorrelator* corr : correlators) {
+    const auto& scored = scans.emplace_back(ScoreEveryOffset(*corr, rx));
+    std::vector<double> above;
+    for (const auto& s : scored) {
+      if (s.score >= 0.3) above.push_back(s.score);
+    }
+    if (!above.empty()) {
+      thresholds.push_back(*std::max_element(above.begin(), above.end()));
+      thresholds.push_back(above[rng.UniformInt(above.size())]);
+    }
+  }
+  for (const double threshold : thresholds) {
+    // Threshold 0 rescores every offset: one separation is enough.
+    for (const std::size_t separation : {m, std::size_t{1}}) {
+      if (threshold <= 0.0 && separation == 1) continue;
+      const std::string where = what + ", threshold " +
+                                std::to_string(threshold) + ", separation " +
+                                std::to_string(separation);
+      const auto together =
+          FindPeaksTogether(correlators, rx, threshold, separation);
+      ASSERT_EQ(together.size(), correlators.size()) << where;
+      for (std::size_t c = 0; c < correlators.size(); ++c) {
+        const auto want = PickPeaks(scans[c], threshold, separation);
+        const std::string which = where + ", correlator " + std::to_string(c);
+        ExpectBitIdentical(
+            correlators[c]->FindPeaks(rx, threshold, separation), want, which);
+        ExpectBitIdentical(together[c], want, which + ", together");
+      }
+    }
+  }
+}
+
 struct Capture {
   std::string name;
   SampleVec samples;
@@ -304,41 +347,53 @@ TEST_P(FindPeaksDifferentialTest, HitsEqualExhaustiveScan) {
     captures.push_back({"random #" + std::to_string(k), std::move(air)});
   }
 
-  const WaveformCorrelator correlators[] = {WaveformCorrelator(pre),
-                                            WaveformCorrelator(post)};
+  const WaveformCorrelator pre_corr(pre), post_corr(post);
   for (const auto& capture : captures) {
-    for (int c = 0; c < 2; ++c) {
-      const auto& corr = correlators[c];
-      const auto scored = ScoreEveryOffset(corr, capture.samples);
-      // Ties too: thresholds equal to exact scores (the best one and a
-      // random one of at least 0.3), which those offsets must reach.
-      std::vector<double> thresholds = {0.0, 0.3, 0.6};
-      std::vector<double> above;
-      for (const auto& s : scored) {
-        if (s.score >= 0.3) above.push_back(s.score);
-      }
-      if (!above.empty()) {
-        thresholds.push_back(*std::max_element(above.begin(), above.end()));
-        thresholds.push_back(above[rng.UniformInt(above.size())]);
-      }
-      for (const double threshold : thresholds) {
-        // Threshold 0 rescores every offset: one separation is enough.
-        for (const std::size_t separation : {m, std::size_t{1}}) {
-          if (threshold <= 0.0 && separation == 1) continue;
-          ExpectBitIdentical(
-              corr.FindPeaks(capture.samples, threshold, separation),
-              PickPeaks(scored, threshold, separation),
-              capture.name + (c == 0 ? ", preamble" : ", postamble") +
-                  ", threshold " + std::to_string(threshold) +
-                  ", separation " + std::to_string(separation));
-        }
-      }
-    }
+    ExpectEveryWayMatchesScan({&pre_corr, &post_corr}, capture.samples, m,
+                              rng, capture.name);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(SamplesPerChip, FindPeaksDifferentialTest,
                          ::testing::Values(2, 4, 8));
+
+TEST(FindPeaksTogetherTest, TinyReferencesMatchExhaustiveScan) {
+  // References of 1-5 samples against captures of 1-12 run FFTs of 1-16
+  // points, including the special-cased sizes 1 and 2.
+  Rng rng(86);
+  const auto random_wave = [&](std::size_t n) {
+    SampleVec wave(n);
+    for (auto& s : wave) s = Sample{rng.Normal(), rng.Normal()};
+    return wave;
+  };
+  for (std::size_t m = 1; m <= 5; ++m) {
+    for (std::size_t length = 1; length <= 12; ++length) {
+      for (int trial = 0; trial < 3; ++trial) {
+        const SampleVec ref = random_wave(m);
+        const WaveformCorrelator a(random_wave(m)), b(ref);
+        SampleVec rx = random_wave(length);
+        // Two trials of three hold a strong copy of b's reference, so
+        // some offsets score high.
+        if (trial > 0 && length >= m) {
+          MixInto(rx, ref, rng.UniformInt(length - m + 1), 4.0);
+        }
+        ExpectEveryWayMatchesScan({&a, &b}, rx, m, rng,
+                                  "M " + std::to_string(m) + ", length " +
+                                      std::to_string(length) + ", trial " +
+                                      std::to_string(trial));
+      }
+    }
+  }
+}
+
+TEST(FindPeaksTogetherTest, UnequalReferenceLengthsThrow) {
+  const WaveformCorrelator a(SampleVec(4, Sample{1.0, 0.0}));
+  const WaveformCorrelator b(SampleVec(5, Sample{1.0, 0.0}));
+  const SampleVec rx(32, Sample{1.0, 0.0});
+  const std::vector<const WaveformCorrelator*> both = {&a, &b};
+  EXPECT_THROW(FindPeaksTogether(both, rx, 0.5, 1), std::invalid_argument);
+  EXPECT_EQ(FindPeaksTogether({}, rx, 0.5, 1).size(), 0u);
+}
 
 }  // namespace
 }  // namespace ppr::phy

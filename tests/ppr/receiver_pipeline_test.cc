@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "common/crc.h"
 #include "common/rng.h"
 #include "phy/channel.h"
@@ -47,7 +50,7 @@ TEST(ReceiverPipelineTest, CleanFrameRecoveredViaPreamble) {
   ASSERT_EQ(frames.size(), 1u);
   const auto& f = frames[0];
   EXPECT_EQ(f.sync, RecoveredFrame::SyncSource::kPreamble);
-  EXPECT_EQ(f.frame_start_sample, 400u);
+  EXPECT_EQ(f.frame_start_sample, 400);
   EXPECT_EQ(f.header, MakeHeader(60));
   EXPECT_FALSE(f.header_from_trailer);
 
@@ -136,7 +139,7 @@ TEST(ReceiverPipelineTest, PreambleFrameNotDuplicatedByPostamble) {
   // Reported exactly once, from the preamble path.
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].sync, RecoveredFrame::SyncSource::kPreamble);
-  EXPECT_EQ(frames[0].frame_start_sample, 200u);
+  EXPECT_EQ(frames[0].frame_start_sample, 200);
   EXPECT_EQ(frames[0].PayloadBits().ToBytes(), payload);
 }
 
@@ -244,6 +247,76 @@ TEST(ReceiverPipelineTest, OversizedLengthFieldRejected) {
   EXPECT_TRUE(rx.Process(air).empty());
 }
 
+TEST(ReceiverPipelineTest, FrameStartingBeforeCaptureKeepsItsStart) {
+  // The capture begins inside a frame's preamble: only the postamble
+  // path sees the frame, and its rollback lands before sample 0.
+  const auto config = TestConfig();
+  const FrameModulator mod(config.modem);
+  const ReceiverPipeline rx(config);
+  Rng rng(212);
+  const auto payload = RandomPayload(rng, 60);
+  const auto wave = mod.Modulate(MakeHeader(60), payload);
+  phy::SampleVec air(wave.size() + 600, phy::Sample{0.0, 0.0});
+  phy::MixInto(air, wave, 200);
+  for (const std::int64_t cut : {1000, 2000}) {
+    const phy::SampleVec capture(air.begin() + cut, air.end());
+    const auto frames = rx.Process(capture);
+    ASSERT_EQ(frames.size(), 1u) << "cut " << cut;
+    EXPECT_EQ(frames[0].sync, RecoveredFrame::SyncSource::kPostamble);
+    EXPECT_EQ(frames[0].frame_start_sample, 200 - cut);
+    EXPECT_EQ(frames[0].header, MakeHeader(60));
+    EXPECT_EQ(frames[0].PayloadBits().ToBytes(), payload) << "cut " << cut;
+  }
+}
+
+// Whatever a capture holds, every frame Process reports has a length
+// within the configured maximum and one decoded body of that length.
+void ExpectWellFormed(const std::vector<RecoveredFrame>& frames,
+                      const PipelineConfig& config, const std::string& what) {
+  for (const auto& f : frames) {
+    ASSERT_LE(f.header.length, config.max_payload_octets) << what;
+    EXPECT_EQ(f.body_symbols.size(),
+              frame::FrameLayout(f.header.length).BodyOctets() * 2)
+        << what;
+  }
+}
+
+TEST(ReceiverPipelineTest, HostileCapturesYieldWellFormedFrames) {
+  const auto config = TestConfig();
+  const FrameModulator mod(config.modem);
+  const ReceiverPipeline rx(config);
+  Rng rng(213);
+  // Lengths around the sync pattern's M samples and the FFT block of
+  // bit_ceil(2M) samples sync correlates in.
+  const std::size_t m =
+      mod.ModulateOctets(frame::PreamblePatternOctets()).size();
+  const std::size_t block = std::bit_ceil(2 * m);
+  for (const std::size_t length :
+       {std::size_t{0}, std::size_t{1}, m - 1, m, m + 1, 2 * block - 1,
+        2 * block, 2 * block + 1}) {
+    phy::SampleVec air(length, phy::Sample{0.0, 0.0});
+    phy::AddAwgn(air, rng.UniformDouble(0.1, 2.0), rng);
+    ExpectWellFormed(rx.Process(air), config,
+                     "random, length " + std::to_string(length));
+  }
+
+  // One frame, cut at the front or at the back at 21 evenly spaced
+  // points, both ends of the capture included.
+  const auto payload = RandomPayload(rng, 40);
+  const auto wave = mod.Modulate(MakeHeader(40), payload);
+  phy::SampleVec air(wave.size() + 600, phy::Sample{0.0, 0.0});
+  phy::MixInto(air, wave, 300);
+  phy::AddAwgn(air, 0.2, rng);
+  ASSERT_EQ(rx.Process(air).size(), 1u);
+  for (std::size_t k = 0; k <= 20; ++k) {
+    const auto cut = static_cast<std::ptrdiff_t>(k * air.size() / 20);
+    ExpectWellFormed(rx.Process(phy::SampleVec(air.begin() + cut, air.end())),
+                     config, "front cut " + std::to_string(cut));
+    ExpectWellFormed(rx.Process(phy::SampleVec(air.begin(), air.begin() + cut)),
+                     config, "back cut " + std::to_string(cut));
+  }
+}
+
 TEST(ReceiverPipelineTest, EmptyAirYieldsNothing) {
   const ReceiverPipeline rx(TestConfig());
   Rng rng(208);
@@ -275,7 +348,7 @@ TEST(StreamingReceiverTest, FindsFrameAcrossChunkedPushes) {
   }
   rx.Flush();
   ASSERT_EQ(rx.Frames().size(), 1u);
-  EXPECT_EQ(rx.Frames()[0].frame_start_sample, 700u);
+  EXPECT_EQ(rx.Frames()[0].frame_start_sample, 700);
   EXPECT_EQ(rx.Frames()[0].PayloadBits().ToBytes(), payload);
 }
 
@@ -294,6 +367,32 @@ TEST(StreamingReceiverTest, NoDuplicateEmissionAcrossScans) {
   rx.Push(phy::SampleVec(4000, phy::Sample{0.0, 0.0}));
   rx.Flush();
   EXPECT_EQ(rx.Frames().size(), 1u);
+}
+
+TEST(StreamingReceiverTest, NoDuplicateOnceFrameStartIsEvicted) {
+  // Once the ring buffer slides past a frame's first sample while its
+  // postamble is still buffered, the postamble path finds the frame
+  // again; it must match the copy emitted from the preamble.
+  const auto config = TestConfig();
+  const FrameModulator mod(config.modem);
+  const std::size_t capacity =
+      2 * (frame::FrameLayout(config.max_payload_octets).TotalChips() + 2) *
+      static_cast<std::size_t>(config.modem.samples_per_chip);
+  Rng rng(214);
+  const auto payload = RandomPayload(rng, 32);
+  const auto wave = mod.Modulate(MakeHeader(32), payload);
+  phy::SampleVec air(wave.size() + 600, phy::Sample{0.0, 0.0});
+  phy::MixInto(air, wave, 100);
+  for (const std::size_t evicted : {150, 700, 2100, 4100}) {
+    StreamingReceiver rx(config);
+    rx.Push(air);
+    rx.Push(phy::SampleVec(capacity + evicted - air.size(),
+                           phy::Sample{0.0, 0.0}));
+    rx.Flush();
+    ASSERT_EQ(rx.Frames().size(), 1u) << "evicted " << evicted;
+    EXPECT_EQ(rx.Frames()[0].frame_start_sample, 100);
+    EXPECT_EQ(rx.Frames()[0].PayloadBits().ToBytes(), payload);
+  }
 }
 
 }  // namespace
