@@ -54,14 +54,14 @@ int main() {
   arq::PpArqConfig relay_config;
   relay_config.recovery = arq::RecoveryMode::kRelayCodedRepair;
   Rng relay_direct(7), overhear(8), relay_hop(9);
-  arq::RelayExchangeChannels channels;
+  arq::MultiRelayExchangeChannels channels;
   channels.source_to_destination =
       arq::MakeGilbertElliottChannel(codebook, weak, relay_direct);
-  channels.source_to_relay =
-      arq::MakeGilbertElliottChannel(codebook, strong, overhear);
-  channels.relay_to_destination =
-      arq::MakeGilbertElliottChannel(codebook, strong, relay_hop);
-  const auto relayed = arq::RunRelayRecoveryExchange(
+  channels.source_to_relay = {
+      arq::MakeGilbertElliottChannel(codebook, strong, overhear)};
+  channels.relay_to_destination = {
+      arq::MakeGilbertElliottChannel(codebook, strong, relay_hop)};
+  const auto relayed = arq::RunMultiRelayRecoveryExchange(
       payload, relay_config, *arq::MakeRecoveryStrategy(relay_config),
       channels);
 

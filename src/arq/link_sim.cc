@@ -1,7 +1,6 @@
 #include "arq/link_sim.h"
 
 #include <algorithm>
-#include <cassert>
 #include <memory>
 #include <stdexcept>
 
@@ -36,19 +35,7 @@ ArqRunStats RunPpArqExchange(const BitVec& payload_bits,
                              const BodyChannel& channel,
                              std::size_t max_rounds) {
   const auto strategy = MakeRecoveryStrategy(config);
-  return RunRecoveryExchange(payload_bits, config, *strategy, channel,
-                             max_rounds);
-}
-
-ArqRunStats RunRecoveryExchange(const BitVec& payload_bits,
-                                const PpArqConfig& config,
-                                const RecoveryStrategy& strategy,
-                                const BodyChannel& channel,
-                                std::size_t max_rounds) {
-  // The duplex exchange is the two-party recovery session
-  // (arq/recovery_session.h); the session engine reproduces the legacy
-  // loop's channel draw order and accounting exactly.
-  return RunRecoveryExchangeSession(payload_bits, config, strategy, channel,
+  return RunRecoveryExchangeSession(payload_bits, config, *strategy, channel,
                                     max_rounds)
       .totals;
 }
@@ -86,8 +73,11 @@ ArqRunStats RunFragmentedArq(const BitVec& payload_bits,
     throw std::invalid_argument("RunFragmentedArq: payload must be octets");
   }
   const std::size_t payload_octets = payload_bits.size() / 8;
+  if (num_fragments == 0 || payload_octets == 0) {
+    throw std::invalid_argument(
+        "RunFragmentedArq: needs at least one fragment and one octet");
+  }
   num_fragments = std::min(num_fragments, payload_octets);
-  assert(num_fragments > 0);
 
   // Fragment extents (octet-aligned, as even as possible).
   struct Frag {

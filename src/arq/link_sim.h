@@ -62,19 +62,13 @@ struct ArqRunStats {
 // Runs a full PP-ARQ exchange for one packet payload under the recovery
 // strategy `config.recovery` selects (chunk retransmission by default).
 // `max_rounds` bounds total feedback rounds (beyond PpArqConfig
-// escalation).
+// escalation). To run an explicit strategy instance or to see the
+// per-party breakdown, call RunRecoveryExchangeSession
+// (arq/recovery_session.h).
 ArqRunStats RunPpArqExchange(const BitVec& payload_bits,
                              const PpArqConfig& config,
                              const BodyChannel& channel,
                              std::size_t max_rounds = 32);
-
-// Same exchange with an explicit strategy instance (e.g. to reuse one
-// strategy across packets or to plug in a custom implementation).
-ArqRunStats RunRecoveryExchange(const BitVec& payload_bits,
-                                const PpArqConfig& config,
-                                const RecoveryStrategy& strategy,
-                                const BodyChannel& channel,
-                                std::size_t max_rounds = 32);
 
 // Status quo: retransmit the whole packet until its CRC-32 verifies.
 ArqRunStats RunWholePacketArq(const BitVec& payload_bits,

@@ -10,6 +10,10 @@
 namespace ppr::arq {
 namespace {
 
+// Adapters: any duplex RecoverySender/RecoveryReceiver pair runs as a
+// two-party session. The sender answers each feedback with exactly one
+// repair message (even when the plan is empty), preserving the duplex
+// loop's per-round accounting.
 class SenderParticipant : public RecoveryParticipant {
  public:
   explicit SenderParticipant(std::unique_ptr<RecoverySender> sender)
@@ -78,26 +82,17 @@ class ReceiverParticipant : public DestinationParticipant {
 
 }  // namespace
 
-std::unique_ptr<RecoveryParticipant> MakeSenderParticipant(
-    std::unique_ptr<RecoverySender> sender) {
-  return std::make_unique<SenderParticipant>(std::move(sender));
-}
-
-std::unique_ptr<DestinationParticipant> MakeReceiverParticipant(
-    std::unique_ptr<RecoveryReceiver> receiver) {
-  return std::make_unique<ReceiverParticipant>(std::move(receiver));
-}
-
 // Default session roles: adapt the duplex pair.
 std::unique_ptr<RecoveryParticipant> RecoveryStrategy::MakeSourceParticipant(
     const BitVec& body_bits, std::uint16_t seq) const {
-  return MakeSenderParticipant(MakeSender(body_bits, seq));
+  return std::make_unique<SenderParticipant>(MakeSender(body_bits, seq));
 }
 
 std::unique_ptr<DestinationParticipant>
 RecoveryStrategy::MakeDestinationParticipant(
     std::uint16_t seq, std::size_t total_codewords) const {
-  return MakeReceiverParticipant(MakeReceiver(seq, total_codewords));
+  return std::make_unique<ReceiverParticipant>(
+      MakeReceiver(seq, total_codewords));
 }
 
 std::unique_ptr<RecoveryParticipant> RecoveryStrategy::MakeRelayParticipant(
@@ -133,7 +128,8 @@ RecoverySession::RecoverySession(SessionConfig config) {
 
 // Config-time edges name parties that did not exist yet; check them
 // against the final roster once, when traffic first moves.
-void RecoverySession::ValidateTopology() const {
+void RecoverySession::ValidateTopology() {
+  if (topology_validated_) return;
   for (const auto& [edge, channel] : edges_) {
     if (edge.first >= parties_.size() || edge.second >= parties_.size()) {
       throw std::invalid_argument("RecoverySession: edge names unknown party");
@@ -145,6 +141,7 @@ void RecoverySession::ValidateTopology() const {
           "RecoverySession: broadcast listener unknown");
     }
   }
+  topology_validated_ = true;
 }
 
 PartyId RecoverySession::AddParty(
@@ -152,57 +149,19 @@ PartyId RecoverySession::AddParty(
   if (!participant) {
     throw std::invalid_argument("RecoverySession: null participant");
   }
-  if (participant->role() == PartyRole::kDestination && Destination()) {
-    throw std::invalid_argument("RecoverySession: one destination only");
+  if (participant->role() == PartyRole::kDestination) {
+    if (destination_id_ != kBroadcastId) {
+      throw std::invalid_argument("RecoverySession: one destination only");
+    }
+    destination_id_ = parties_.size();
   }
   parties_.push_back(std::move(participant));
   stats_.parties.emplace_back();
   return parties_.size() - 1;
 }
 
-void RecoverySession::SetEdgeChannel(PartyId from, PartyId to,
-                                     BodyChannel channel) {
-  if (from >= parties_.size() || to >= parties_.size() || from == to) {
-    throw std::invalid_argument("RecoverySession: bad edge");
-  }
-  edges_[{from, to}] = std::move(channel);
-}
-
-void RecoverySession::SetInitialBroadcast(PartyId from,
-                                          std::vector<PartyId> listeners,
-                                          BroadcastBodyChannel channel) {
-  if (!channel) {
-    throw std::invalid_argument("RecoverySession: null broadcast channel");
-  }
-  for (const PartyId id : listeners) {
-    if (id >= parties_.size() || id == from) {
-      throw std::invalid_argument("RecoverySession: bad broadcast listener");
-    }
-  }
-  broadcast_from_ = from;
-  broadcast_listeners_ = std::move(listeners);
-  broadcast_channel_ = std::move(channel);
-}
-
-void RecoverySession::SetRelayAirtimeBudget(std::size_t bits_per_round) {
-  relay_airtime_budget_ = bits_per_round == 0 ? kNoAirtimeBudget
-                                              : bits_per_round;
-}
-
-DestinationParticipant* RecoverySession::Destination() const {
-  for (const auto& p : parties_) {
-    if (p->role() == PartyRole::kDestination) {
-      return static_cast<DestinationParticipant*>(p.get());
-    }
-  }
-  return nullptr;
-}
-
 void RecoverySession::TransmitInitial(PartyId source, const BitVec& body) {
-  if (!topology_validated_) {
-    ValidateTopology();
-    topology_validated_ = true;
-  }
+  ValidateTopology();
   stats_.totals.forward_bits += body.size();
   ++stats_.totals.data_transmissions;
   if (broadcast_channel_ && broadcast_from_ == source) {
@@ -356,20 +315,8 @@ void RecoverySession::Deliver(const SessionMessage& msg) {
   }
 }
 
-bool RecoverySession::RunRound() {
-  DestinationParticipant* destination = Destination();
-  if (!destination) {
-    throw std::logic_error("RecoverySession: no destination party");
-  }
-  if (!topology_validated_) {
-    ValidateTopology();
-    topology_validated_ = true;
-  }
-  PartyId destination_id = 0;
-  for (PartyId id = 0; id < parties_.size(); ++id) {
-    if (parties_[id].get() == destination) destination_id = id;
-  }
-  auto opening = destination->StartRound();
+bool RecoverySession::RunRound(DestinationParticipant& destination) {
+  auto opening = destination.StartRound();
   if (opening.empty()) {
     stats_.totals.success = true;
     obs::Count("arq.session.completed");
@@ -381,7 +328,7 @@ bool RecoverySession::RunRound() {
   obs::Count("arq.session.rounds");
   const std::uint64_t round_start_ns = obs::NowNs();
   for (auto& msg : opening) {
-    msg.from = destination_id;
+    msg.from = destination_id_;
     Deliver(msg);
   }
   const std::uint64_t round_ns = obs::NowNs() - round_start_ns;
@@ -397,22 +344,20 @@ bool RecoverySession::RunRound() {
   return true;
 }
 
-SessionRunStats RecoverySession::Conclude() {
-  DestinationParticipant* destination = Destination();
-  if (!destination) {
+SessionRunStats RecoverySession::Run(std::size_t max_rounds) {
+  if (destination_id_ == kBroadcastId) {
     throw std::logic_error("RecoverySession: no destination party");
   }
-  stats_.totals.success = destination->Complete();
+  ValidateTopology();
+  auto& destination =
+      static_cast<DestinationParticipant&>(*parties_[destination_id_]);
+  for (std::size_t round = 0; round < max_rounds; ++round) {
+    if (!RunRound(destination)) return stats_;
+  }
+  stats_.totals.success = destination.Complete();
   obs::Count(stats_.totals.success ? "arq.session.completed"
                                    : "arq.session.failed");
   return stats_;
-}
-
-SessionRunStats RecoverySession::Run(std::size_t max_rounds) {
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    if (!RunRound()) return stats_;
-  }
-  return Conclude();
 }
 
 SessionRunStats RunRecoveryExchangeSession(const BitVec& payload_bits,
@@ -423,7 +368,7 @@ SessionRunStats RunRecoveryExchangeSession(const BitVec& payload_bits,
   const BitVec body = PpArqSender::MakeBody(payload_bits);
   if (body.size() % config.bits_per_codeword != 0) {
     throw std::invalid_argument(
-        "RunRecoveryExchange: body bits must be a whole number of codewords");
+        "RunRecoveryExchangeSession: body bits must be whole codewords");
   }
   SessionConfig topology;
   topology.edges.push_back(
@@ -502,19 +447,6 @@ SessionRunStats RunMultiRelayRecoveryExchange(
   }
   session.TransmitInitial(source, body);
   return session.Run(max_rounds);
-}
-
-SessionRunStats RunRelayRecoveryExchange(const BitVec& payload_bits,
-                                         const PpArqConfig& config,
-                                         const RecoveryStrategy& strategy,
-                                         const RelayExchangeChannels& channels,
-                                         std::size_t max_rounds) {
-  MultiRelayExchangeChannels multi;
-  multi.source_to_destination = channels.source_to_destination;
-  multi.source_to_relay = {channels.source_to_relay};
-  multi.relay_to_destination = {channels.relay_to_destination};
-  return RunMultiRelayRecoveryExchange(payload_bits, config, strategy, multi,
-                                       max_rounds);
 }
 
 }  // namespace ppr::arq

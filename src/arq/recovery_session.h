@@ -16,11 +16,11 @@
 // until the round drains: the source answers feedback with repair, a
 // relay answers with its own repair, the destination ingests both.
 //
-// The two-party configuration reproduces the legacy
-// RunRecoveryExchange loop exactly — same channel draw order, same
-// accounting — which is what keeps kChunkRetransmit bit-for-bit
-// identical under the redesign. Any number of relays plug in as
-// additional participants and edges.
+// The two-party configuration reproduces the duplex sender/receiver
+// loop exactly — same channel draw order, same accounting — which is
+// what keeps kChunkRetransmit bit-for-bit identical under the
+// redesign. Any number of relays plug in as additional participants
+// and edges.
 //
 // Relay airtime scheduling (ExOR-style): when a per-round relay
 // airtime budget is set, the engine services relay parties in
@@ -118,15 +118,6 @@ class DestinationParticipant : public RecoveryParticipant {
   virtual std::size_t rounds() const = 0;
 };
 
-// Adapters: any duplex RecoverySender/RecoveryReceiver pair runs as a
-// two-party session. The sender answers each feedback with exactly one
-// repair message (even when the plan is empty), preserving the legacy
-// loop's per-round accounting.
-std::unique_ptr<RecoveryParticipant> MakeSenderParticipant(
-    std::unique_ptr<RecoverySender> sender);
-std::unique_ptr<DestinationParticipant> MakeReceiverParticipant(
-    std::unique_ptr<RecoveryReceiver> receiver);
-
 // Per-party traffic, indexed by PartyId (the destination's entry counts
 // its feedback; repair parties count data-direction airtime after the
 // initial transmission).
@@ -181,6 +172,7 @@ struct SessionBroadcast {
 // ids are assigned later by AddParty in call order, so edges name
 // parties that do not exist yet; the session validates the topology
 // against the roster when traffic first moves (TransmitInitial / Run).
+// Nothing changes the topology afterwards.
 struct SessionConfig {
   std::vector<SessionEdge> edges;
   std::optional<SessionBroadcast> initial_broadcast;
@@ -192,12 +184,6 @@ struct SessionConfig {
 
 class RecoverySession {
  public:
-  // A session with no edges; the deprecated setters below can still
-  // patch the topology in afterwards.
-  RecoverySession() = default;
-
-  // The immutable-topology form: every edge, the optional initial
-  // broadcast, and the relay budget arrive together and never change.
   explicit RecoverySession(SessionConfig config);
 
   // Registers a participant; ids are assigned in call order and double
@@ -205,50 +191,30 @@ class RecoverySession {
   // destination is required by Run().
   PartyId AddParty(std::unique_ptr<RecoveryParticipant> participant);
 
-  // DEPRECATED forwarding shims, kept one release so callers migrate
-  // to SessionConfig incrementally. These validate eagerly against the
-  // current roster (the historical behavior); the config path defers
-  // validation to first traffic.
-  void SetEdgeChannel(PartyId from, PartyId to, BodyChannel channel);
-  void SetInitialBroadcast(PartyId from, std::vector<PartyId> listeners,
-                           BroadcastBodyChannel channel);
-  void SetRelayAirtimeBudget(std::size_t bits_per_round);
-
   // The initial packet transmission: one broadcast from `source`; every
   // party with an incoming edge from it ingests its own loss-process
   // copy. Counts one data transmission of body.size() bits.
   void TransmitInitial(PartyId source, const BitVec& body);
 
   // Runs feedback rounds until the destination stops emitting feedback
-  // or max_rounds is reached.
+  // (success) or max_rounds is reached (success = the destination's
+  // completeness).
   SessionRunStats Run(std::size_t max_rounds);
 
-  // One feedback round, scheduler-steppable (the flow engine drives
-  // many sessions by interleaving RunRound calls): the destination
-  // opens, every reply routes until the round drains. Returns false —
-  // without counting a round — when the destination emitted no
-  // feedback: the exchange is complete and stats().totals.success is
-  // already set.
-  bool RunRound();
-
-  // Final accounting for a driver that stopped stepping RunRound
-  // before it returned false (a round cap): success = destination
-  // completeness, exactly as Run()'s max_rounds exit.
-  SessionRunStats Conclude();
-
-  const SessionRunStats& stats() const { return stats_; }
-
   RecoveryParticipant& party(PartyId id) { return *parties_.at(id); }
-  std::size_t num_parties() const { return parties_.size(); }
 
  private:
-  DestinationParticipant* Destination() const;
-  void ValidateTopology() const;
+  void ValidateTopology();
+  // One feedback round: the destination opens, every reply routes
+  // until the round drains. Returns false, without counting a round,
+  // when the destination emitted no feedback: the exchange is complete.
+  bool RunRound(DestinationParticipant& destination);
   void Deliver(const SessionMessage& msg);
   void Account(const SessionMessage& msg);
   std::vector<PartyId> RecipientOrder(const SessionMessage& msg);
 
   std::vector<std::unique_ptr<RecoveryParticipant>> parties_;
+  PartyId destination_id_ = kBroadcastId;  // kBroadcastId: none yet
   std::map<std::pair<PartyId, PartyId>, BodyChannel> edges_;
   PartyId broadcast_from_ = kBroadcastId;
   std::vector<PartyId> broadcast_listeners_;
@@ -258,13 +224,6 @@ class RecoverySession {
   std::size_t round_budget_left_ = kNoAirtimeBudget;
   std::size_t round_relay_bits_ = 0;
   bool topology_validated_ = false;
-};
-
-// Channels of the canonical three-party (Crelay) topology.
-struct RelayExchangeChannels {
-  BodyChannel source_to_destination;
-  BodyChannel source_to_relay;       // the relay's overheard copy
-  BodyChannel relay_to_destination;
 };
 
 // Channels of the N-relay topology: relay i (party id
@@ -297,21 +256,16 @@ inline constexpr PartyId kSessionRelayId = 2;
 // and `config.relay_airtime_budget_bits` becomes the session's
 // per-round relay budget). Every relay overhears the initial
 // transmission on its own channel and answers the destination's
-// broadcast feedback, scheduled by the engine.
+// broadcast feedback, scheduled by the engine. N = 1 is the canonical
+// three-party (Crelay) topology.
 SessionRunStats RunMultiRelayRecoveryExchange(
     const BitVec& payload_bits, const PpArqConfig& config,
     const RecoveryStrategy& strategy,
     const MultiRelayExchangeChannels& channels, std::size_t max_rounds = 32);
 
-// The single-relay special case, preserved as the N=1 configuration.
-SessionRunStats RunRelayRecoveryExchange(const BitVec& payload_bits,
-                                         const PpArqConfig& config,
-                                         const RecoveryStrategy& strategy,
-                                         const RelayExchangeChannels& channels,
-                                         std::size_t max_rounds = 32);
-
-// Two-party session form of arq/link_sim.h's RunRecoveryExchange,
-// exposing the per-party breakdown.
+// Runs one packet through the two-party (source + destination)
+// session under `strategy`, over one channel. RunPpArqExchange
+// (arq/link_sim.h) reports this run's totals.
 SessionRunStats RunRecoveryExchangeSession(const BitVec& payload_bits,
                                            const PpArqConfig& config,
                                            const RecoveryStrategy& strategy,

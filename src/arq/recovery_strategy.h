@@ -26,9 +26,9 @@
 //     collided receptions into the same decoder session under a
 //     collision provenance tag.
 //
-// All parties of a strategy share a wire format for feedback; the run
-// loops (arq/link_sim.h: RunRecoveryExchange for the duplex case,
-// arq/recovery_session.h for multi-party) only move opaque bits. Frame
+// All parties of a strategy share a wire format for feedback; the
+// session that runs them (arq/recovery_session.h, two-party or
+// multi-party) only moves opaque bits. Frame
 // descriptors (ranges, coefficient seeds, masks) travel reliably with
 // each repair frame, exactly as chunk-mode segment descriptors do.
 #pragma once

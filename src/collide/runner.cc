@@ -14,6 +14,11 @@ CollisionExchangeOutcome RunCollisionRecoveryExchange(
     const CollisionEpisodeParams& episode_params, Rng& episode_rng,
     const CollisionListenerConfig& listener_config, bool resolve,
     std::size_t max_rounds) {
+  if (config.bits_per_codeword != 4) {
+    throw std::invalid_argument(
+        "RunCollisionRecoveryExchange: collision captures carry 4-bit "
+        "codewords");
+  }
   CollisionExchangeOutcome out;
   const phy::ChipCodebook codebook;
   const std::uint16_t seq = 1;
@@ -23,7 +28,8 @@ CollisionExchangeOutcome RunCollisionRecoveryExchange(
       DrawCollisionEpisode(codebook, body, episode_params, episode_rng);
 
   auto sender = strategy.MakeSender(body, seq);
-  auto receiver = strategy.MakeReceiver(seq, body.size() / 4);
+  auto receiver =
+      strategy.MakeReceiver(seq, body.size() / config.bits_per_codeword);
 
   // Both collided copies of A crossed the air whether or not anything
   // is distilled from them, so both legs pay the same initial budget.

@@ -31,6 +31,8 @@ struct CollisionExchangeOutcome {
   std::size_t rank_gained = 0;
 };
 
+// `config.bits_per_codeword` must be 4: captures are 4-bit DSSS
+// nibbles (throws std::invalid_argument otherwise).
 // `strategy` must come from a kCollisionResolve config (its receiver
 // implements CollisionEquationConsumer); `episode_rng` drives every
 // collision draw (seed it from arq::SeedForCollisionRound so runs are

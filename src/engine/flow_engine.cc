@@ -17,11 +17,6 @@ namespace {
 // Widest per-flow deficit the slot layout reserves solver rows for.
 constexpr std::size_t kDeficitCap = 64;
 
-// Scheduler keys: bit 63 selects compat sessions; native keys pack the
-// arena handle (generation in the high half so a stale handle can be
-// detected on pop without a table lookup).
-constexpr std::uint64_t kCompatBit = std::uint64_t{1} << 63;
-
 std::uint64_t PackHandle(FlowHandle handle) {
   return (static_cast<std::uint64_t>(handle.generation) << 32) | handle.index;
 }
@@ -257,63 +252,14 @@ FlowHandle FlowEngine::SpawnFlow(FlowId id) {
   return handle;
 }
 
-std::size_t FlowEngine::AddCompatSession(
-    std::unique_ptr<arq::RecoverySession> session, std::size_t max_rounds) {
-  if (!session) {
-    throw std::invalid_argument("FlowEngine: null compat session");
-  }
-  CompatFlow flow;
-  flow.session = std::move(session);
-  flow.max_rounds = max_rounds;
-  compat_.push_back(std::move(flow));
-  const std::size_t index = compat_.size() - 1;
-  queue_.Push(now_ + config_.round_interval, kCompatBit | index);
-  return index;
-}
-
-bool FlowEngine::CompatDone(std::size_t index) const {
-  return compat_.at(index).done;
-}
-
-const arq::SessionRunStats& FlowEngine::CompatResult(std::size_t index) const {
-  const CompatFlow& flow = compat_.at(index);
-  if (!flow.done) {
-    throw std::logic_error("FlowEngine: compat session still running");
-  }
-  return flow.result;
-}
-
-void FlowEngine::RunCompatRound(std::size_t index) {
-  CompatFlow& flow = compat_.at(index);
-  if (flow.done) return;
-  if (!flow.session->RunRound()) {
-    flow.result = flow.session->stats();
-    flow.done = true;
-    ++stats_.compat_completed;
-    return;
-  }
-  ++flow.rounds_done;
-  if (flow.rounds_done >= flow.max_rounds) {
-    flow.result = flow.session->Conclude();
-    flow.done = true;
-    ++stats_.compat_completed;
-    return;
-  }
-  queue_.Push(now_ + config_.round_interval, kCompatBit | index);
-}
-
 std::size_t FlowEngine::ProcessTick(std::uint64_t tick_time) {
   now_ = std::max(now_, tick_time);
   due_events_.clear();
   queue_.PopDue(tick_time, due_events_);
   batch_items_.clear();
-  for (const FlowEvent& event : due_events_) {
+  for (const FlowQueue::Entry& event : due_events_) {
     obs::Observe("engine.sched.lag", now_ - event.time);
-    if (event.key & kCompatBit) {
-      RunCompatRound(static_cast<std::size_t>(event.key & ~kCompatBit));
-      continue;
-    }
-    const FlowHandle handle = UnpackHandle(event.key);
+    const FlowHandle handle = UnpackHandle(event.payload);
     if (!arena_.Alive(handle)) continue;  // retired while queued
     auto* header = reinterpret_cast<NativeHeader*>(arena_.Get(handle));
     batch_items_.push_back(

@@ -12,7 +12,7 @@
 //     touches the heap in steady state.
 //
 //   * Event-driven scheduling. A binary-heap EventQueue
-//     (engine/scheduler.h) of (virtual_time, flow) events replaces
+//     (common/event_queue.h) of (virtual_time, flow) events replaces
 //     the per-session while loop; RunUntil harvests every flow due
 //     this tick together.
 //
@@ -36,12 +36,6 @@
 // equation projects onto the missing columns only). The per-flow
 // solver speaks fec::EquationSink, the same ingest surface as
 // fec::RlncDecoder and stream::WindowDecoder.
-//
-// Compat flows wrap a legacy arq::RecoverySession and drive it one
-// RunRound per scheduler event. Flows are independent, so
-// interleaving rounds across sessions preserves each session's
-// transcript bit-for-bit — the golden transcript CRCs pin this
-// (tests/engine/flow_engine_test.cc).
 #pragma once
 
 #include <cstddef>
@@ -49,9 +43,8 @@
 #include <memory>
 #include <vector>
 
-#include "arq/recovery_session.h"
+#include "common/event_queue.h"
 #include "engine/arena.h"
-#include "engine/scheduler.h"
 #include "fec/codec.h"
 #include "fec/equation_sink.h"
 #include "fec/reed_solomon.h"
@@ -90,7 +83,6 @@ struct EngineStats {
   std::uint64_t flows_spawned = 0;
   std::uint64_t flows_completed = 0;  // decoded and verified against truth
   std::uint64_t flows_failed = 0;     // abandoned at max_rounds
-  std::uint64_t compat_completed = 0;
   std::uint64_t rounds = 0;           // native flow-rounds executed
   std::uint64_t repairs_sent = 0;
   std::uint64_t repairs_delivered = 0;
@@ -117,16 +109,6 @@ class FlowEngine {
   FlowHandle SpawnFlow(FlowId id);
   bool FlowAlive(FlowHandle handle) const { return arena_.Alive(handle); }
 
-  // Adopts a configured legacy session (TransmitInitial already done)
-  // and schedules one RunRound per tick, up to `max_rounds` — the
-  // scheduler-interleaved equivalent of session.Run(max_rounds).
-  // Returns an index for CompatResult.
-  std::size_t AddCompatSession(std::unique_ptr<arq::RecoverySession> session,
-                               std::size_t max_rounds);
-  bool CompatDone(std::size_t index) const;
-  // Final stats of a finished compat session (requires CompatDone).
-  const arq::SessionRunStats& CompatResult(std::size_t index) const;
-
   // Processes every event due at or before `until`, one batched tick
   // per distinct due time, and advances now(). Returns events
   // processed.
@@ -137,20 +119,15 @@ class FlowEngine {
   std::size_t RunAll();
 
  private:
-  struct CompatFlow {
-    std::unique_ptr<arq::RecoverySession> session;
-    std::size_t rounds_done = 0;
-    std::size_t max_rounds = 0;
-    bool done = false;
-    arq::SessionRunStats result;
-  };
+  // Queue payloads are packed FlowHandles (generation in the high
+  // half, so a stale handle is detected on pop without a lookup).
+  using FlowQueue = EventQueue<std::uint64_t>;
 
   class NativeSolver;  // arena-backed dxd EquationSink, defined in .cc
 
   std::size_t ProcessTick(std::uint64_t tick_time);
   void ProcessNativeBatch();  // consumes batch_items_ (kRlnc)
   void ProcessRsBatch();      // consumes batch_items_ (kReedSolomon)
-  void RunCompatRound(std::size_t index);
   void FinishFlow(FlowHandle handle, bool decoded);
 
   struct BatchItem {
@@ -160,18 +137,17 @@ class FlowEngine {
 
   EngineConfig config_;
   FlowArena arena_;
-  EventQueue queue_;
+  FlowQueue queue_;
   EngineStats stats_;
   std::uint64_t now_ = 0;
   std::uint32_t seed_counter_ = 0;  // shared repair-slot seeds
-  std::vector<CompatFlow> compat_;
   // Slot layout offsets (bytes from slot start), fixed per engine.
   std::size_t off_source_ = 0;
   std::size_t off_coefs_ = 0;
   std::size_t off_data_ = 0;
 
   // Tick-lifetime scratch, reused across ticks.
-  std::vector<FlowEvent> due_events_;
+  std::vector<FlowQueue::Entry> due_events_;
   std::vector<BatchItem> batch_items_;
   std::vector<std::vector<std::uint8_t>> staging_;  // symbol-major gather
   std::vector<std::uint8_t> repair_dst_;            // fused encode output

@@ -80,14 +80,6 @@ arq::SessionRunStats RunWaveformMultiRelayRecovery(
   return stats;
 }
 
-arq::SessionRunStats RunWaveformRelayRecovery(
-    std::size_t payload_octets, const arq::PpArqConfig& arq_config,
-    const WaveformChannelParams& direct, const RelayWaveformParams& relay,
-    Rng& payload_rng) {
-  return RunWaveformMultiRelayRecovery(payload_octets, arq_config, direct,
-                                       {relay}, payload_rng);
-}
-
 RecoveryComparison CompareRecoveryStrategies(
     std::size_t payload_octets, const arq::PpArqConfig& arq_config,
     const WaveformChannelParams& params, std::uint64_t payload_seed,

@@ -55,22 +55,13 @@ arq::ArqRunStats RunWaveformPpArq(std::size_t payload_octets,
                                   const WaveformChannelParams& params,
                                   Rng& payload_rng);
 
-// The relay-capable waveform variant: a second receiver overhears the
-// source at its own SNR/collision climate (`overhear`), and the
-// relay -> destination hop is its own waveform link (`relay_link`).
+// One relay of a waveform session: it overhears the source at its own
+// SNR/collision climate (`overhear`), and the relay -> destination hop
+// is its own waveform link (`relay_link`).
 struct RelayWaveformParams {
   WaveformChannelParams overhear;     // source -> relay copy
   WaveformChannelParams relay_link;   // relay -> destination
 };
-
-// One kRelayCodedRepair exchange with every hop carried by a real
-// waveform channel. The per-party breakdown (ids in
-// arq/recovery_session.h) is what separates source-transmitted repair
-// bits from the relay's contribution.
-arq::SessionRunStats RunWaveformRelayRecovery(
-    std::size_t payload_octets, const arq::PpArqConfig& arq_config,
-    const WaveformChannelParams& direct, const RelayWaveformParams& relay,
-    Rng& payload_rng);
 
 // Joint-loss statistics of one waveform session's shared medium:
 // listener 0 is the destination, listener i the i-th relay's overheard
@@ -81,9 +72,10 @@ struct WaveformMediumStats {
   std::vector<arq::ListenerLossStats> listeners;
 };
 
-// The N-relay waveform session, rebuilt on the shared medium: the
-// source's initial transmission is ONE WaveformMedium broadcast heard
-// by the destination and every relay (collision draws correlated per
+// The N-relay kRelayCodedRepair session with every hop carried by a
+// real waveform channel, built on the shared medium: the source's
+// initial transmission is ONE WaveformMedium broadcast heard by the
+// destination and every relay (collision draws correlated per
 // `correlation`), the source's repair frames continue the
 // destination-listener stream, and each relay -> destination hop is
 // its own real AWGN+collision channel. `arq_config.relay_parties` is

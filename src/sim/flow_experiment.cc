@@ -17,7 +17,6 @@ void AccumulateStats(engine::EngineStats& into,
   into.flows_spawned += from.flows_spawned;
   into.flows_completed += from.flows_completed;
   into.flows_failed += from.flows_failed;
-  into.compat_completed += from.compat_completed;
   into.rounds += from.rounds;
   into.repairs_sent += from.repairs_sent;
   into.repairs_delivered += from.repairs_delivered;

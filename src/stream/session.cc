@@ -5,11 +5,11 @@
 #include <deque>
 #include <map>
 #include <optional>
-#include <queue>
 #include <stdexcept>
 #include <utility>
 
 #include "common/crc.h"
+#include "common/event_queue.h"
 #include "common/rng.h"
 #include "fec/reed_solomon.h"
 #include "obs/obs.h"
@@ -61,7 +61,7 @@ BitVec EncodeRepairFrame(const StreamRepairSymbol& repair) {
 }
 
 struct ParsedFrame {
-  bool valid = false;  // CRC verified
+  bool valid = false;  // well-formed and CRC verified
   unsigned type = 0;
   std::uint16_t wire_id = 0;
   std::uint16_t span = 0;
@@ -76,6 +76,7 @@ ParsedFrame ParseFrame(const BitVec& bits, std::size_t symbol_bytes) {
     return out;
   }
   out.type = static_cast<unsigned>(bits.ReadUint(0, kTypeBits));
+  if (out.type != kTypeSource && out.type != kTypeRepair) return out;
   const std::size_t header_bits =
       out.type == kTypeRepair ? kTypeBits + kWireIdBits + 16 + 32
                               : kTypeBits + kWireIdBits;
@@ -91,6 +92,7 @@ ParsedFrame ParseFrame(const BitVec& bits, std::size_t symbol_bytes) {
         bits.ReadUint(kTypeBits + kWireIdBits, 16));
     out.seed = static_cast<std::uint32_t>(
         bits.ReadUint(kTypeBits + kWireIdBits + 16, 32));
+    if (out.span == 0) return out;  // a repair spans at least one symbol
   }
   const BitVec payload = bits.Slice(header_bits, payload_bits);
   out.payload = payload.ToBytes();
@@ -108,9 +110,9 @@ enum class EventType : std::uint8_t {
   kTick,             // controller timer at the source
 };
 
+// An event's payload; its time lives in the EventQueue entry, whose
+// push-order tie-break keeps equal-time events deterministic.
 struct Event {
-  std::uint64_t at_us = 0;
-  std::uint64_t seq = 0;  // FIFO tie-break: determinism at equal times
   EventType type = EventType::kTick;
   // kFrameArrival: the channel's output for this frame, captured at
   // send time so the stateful channel sees frames in transmission
@@ -123,20 +125,6 @@ struct Event {
   std::size_t deficit = 0;
   double loss_estimate = 0.0;
   std::uint64_t generated_at_us = 0;
-};
-
-Event TimerEvent(std::uint64_t at_us, EventType type) {
-  Event e;
-  e.at_us = at_us;
-  e.type = type;
-  return e;
-}
-
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.at_us != b.at_us) return a.at_us > b.at_us;
-    return a.seq > b.seq;
-  }
 };
 
 }  // namespace
@@ -187,11 +175,11 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
   const obs::LabelSet controller_label = {
       {"controller", std::string(controller.name())}};
 
-  std::priority_queue<Event, std::vector<Event>, EventAfter> events;
-  std::uint64_t next_seq = 0;
-  const auto push_event = [&](Event e) {
-    e.seq = next_seq++;
-    events.push(std::move(e));
+  EventQueue<Event> events;
+  const auto push_timer = [&](std::uint64_t at_us, EventType type) {
+    Event e;
+    e.type = type;
+    events.Push(at_us, std::move(e));
   };
 
   std::uint64_t now_us = 0;
@@ -229,10 +217,9 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
     link_free_us = start + airtime_us;
     Event arrival;
     arrival.type = EventType::kFrameArrival;
-    arrival.at_us = link_free_us + config.propagation_us;
     arrival.received = channel(frame);
     arrival.was_repair = is_repair;
-    push_event(std::move(arrival));
+    events.Push(link_free_us + config.propagation_us, std::move(arrival));
     if (is_repair) {
       ++stats.repair_sent;
       stats.repair_bits += frame.size();
@@ -411,15 +398,13 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
   };
 
   // Prime the schedule.
-  push_event(TimerEvent(0, EventType::kSourcePacket));
-  push_event(
-      TimerEvent(config.feedback_interval_us, EventType::kFeedbackGen));
-  push_event(TimerEvent(config.tick_interval_us, EventType::kTick));
+  push_timer(0, EventType::kSourcePacket);
+  push_timer(config.feedback_interval_us, EventType::kFeedbackGen);
+  push_timer(config.tick_interval_us, EventType::kTick);
 
-  while (!events.empty()) {
-    Event e = events.top();
-    events.pop();
-    now_us = e.at_us;
+  while (auto entry = events.Pop()) {
+    const Event& e = entry->payload;
+    now_us = entry->time;
     if (now_us > config.max_duration_us) break;
 
     switch (e.type) {
@@ -427,8 +412,8 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
         if (all_pushed()) break;
         if (try_send_packet()) {
           if (!all_pushed()) {
-            push_event(TimerEvent(now_us + config.packet_interval_us,
-                                  EventType::kSourcePacket));
+            push_timer(now_us + config.packet_interval_us,
+                       EventType::kSourcePacket);
           }
         } else {
           // Window full: the flow-controlled source holds this packet
@@ -523,17 +508,16 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
 
         Event ack;
         ack.type = EventType::kFeedbackArrival;
-        ack.at_us = now_us + config.propagation_us;
         ack.cumulative_ack = decoder.next_expected();
         ack.deficit = decoder.Deficit();
         ack.loss_estimate = loss_estimate;
         ack.generated_at_us = now_us;
-        push_event(std::move(ack));
+        events.Push(now_us + config.propagation_us, std::move(ack));
         stats.feedback_bits += kFeedbackBits;
         ++stats.feedback_frames;
         if (!flow_done()) {
-          push_event(TimerEvent(now_us + config.feedback_interval_us,
-                                EventType::kFeedbackGen));
+          push_timer(now_us + config.feedback_interval_us,
+                     EventType::kFeedbackGen);
         }
         break;
       }
@@ -565,8 +549,8 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
         if (cadence_paused && packets_waiting == 0) {
           cadence_paused = false;
           if (!all_pushed()) {
-            push_event(TimerEvent(now_us + config.packet_interval_us,
-                                  EventType::kSourcePacket));
+            push_timer(now_us + config.packet_interval_us,
+                       EventType::kSourcePacket);
           }
         }
         consult(ControllerEvent::kFeedbackReceived);
@@ -602,14 +586,13 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
       case EventType::kTick: {
         consult(ControllerEvent::kTick);
         if (!flow_done()) {
-          push_event(TimerEvent(now_us + config.tick_interval_us,
-                                EventType::kTick));
+          push_timer(now_us + config.tick_interval_us, EventType::kTick);
         }
         break;
       }
     }
 
-    if (flow_done() && events.empty()) break;
+    if (flow_done() && events.Empty()) break;
   }
 
   stats.undelivered = config.total_packets - queue.total_released();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.h"
 
 namespace ppr::arq {
@@ -174,6 +176,18 @@ TEST(FragmentedArqTest, OnlyMissingFragmentsRetransmit) {
       EXPECT_LT(bits, full);
     }
   }
+}
+
+// Zero fragments, or an empty payload, would divide the payload by
+// zero fragments; both are rejected up front.
+TEST(FragmentedArqTest, RejectsZeroFragmentsAndEmptyPayload) {
+  const phy::ChipCodebook cb;
+  Rng rng(191);
+  auto channel = MakeChipErrorChannel(cb, 0.0, rng);
+  Rng prng(192);
+  EXPECT_THROW(RunFragmentedArq(RandomPayload(prng, 40), 0, channel),
+               std::invalid_argument);
+  EXPECT_THROW(RunFragmentedArq(BitVec{}, 4, channel), std::invalid_argument);
 }
 
 TEST(ArqComparisonTest, PpArqBeatsWholePacketOnRetransmittedBits) {

@@ -91,7 +91,7 @@ TEST(RecoverySessionTest, RequiresADestination) {
   const auto strategy = MakeRecoveryStrategy(config);
   Rng rng(601);
   const BitVec body = PpArqSender::MakeBody(RandomPayload(rng, 40));
-  RecoverySession session;
+  RecoverySession session{SessionConfig{}};
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   EXPECT_THROW(session.Run(4), std::logic_error);
 }
@@ -99,7 +99,7 @@ TEST(RecoverySessionTest, RequiresADestination) {
 TEST(RecoverySessionTest, RejectsSecondDestination) {
   PpArqConfig config;
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  RecoverySession session{SessionConfig{}};
   session.AddParty(strategy->MakeDestinationParticipant(1, 128));
   EXPECT_THROW(session.AddParty(strategy->MakeDestinationParticipant(1, 128)),
                std::invalid_argument);
@@ -190,19 +190,36 @@ TEST(RecoverySessionTest, TwoPartySessionMatchesDuplexExchange) {
   }
 }
 
-RelayExchangeChannels MakeGeChannels(const phy::ChipCodebook& cb,
-                                     const GilbertElliottParams& direct,
-                                     const GilbertElliottParams& overhear,
-                                     const GilbertElliottParams& relay_link,
-                                     Rng& direct_rng, Rng& overhear_rng,
-                                     Rng& relay_rng) {
-  RelayExchangeChannels channels;
+// One relay's channels, in the N-relay runner's layout.
+MultiRelayExchangeChannels MakeGeChannels(
+    const phy::ChipCodebook& cb, const GilbertElliottParams& direct,
+    const GilbertElliottParams& overhear,
+    const GilbertElliottParams& relay_link, Rng& direct_rng,
+    Rng& overhear_rng, Rng& relay_rng) {
+  MultiRelayExchangeChannels channels;
   channels.source_to_destination =
       MakeGilbertElliottChannel(cb, direct, direct_rng);
-  channels.source_to_relay = MakeGilbertElliottChannel(cb, overhear, overhear_rng);
-  channels.relay_to_destination =
-      MakeGilbertElliottChannel(cb, relay_link, relay_rng);
+  channels.source_to_relay = {
+      MakeGilbertElliottChannel(cb, overhear, overhear_rng)};
+  channels.relay_to_destination = {
+      MakeGilbertElliottChannel(cb, relay_link, relay_rng)};
   return channels;
+}
+
+// The topology RunMultiRelayRecoveryExchange builds from `channels`,
+// for tests that keep the session itself to read the assembled
+// payload.
+SessionConfig RelayTopology(const MultiRelayExchangeChannels& channels) {
+  SessionConfig topology;
+  topology.edges.push_back({kSessionSourceId, kSessionDestinationId,
+                            channels.source_to_destination});
+  for (std::size_t i = 0; i < channels.relay_to_destination.size(); ++i) {
+    topology.edges.push_back(
+        {kSessionSourceId, kSessionRelayId + i, channels.source_to_relay[i]});
+    topology.edges.push_back({kSessionRelayId + i, kSessionDestinationId,
+                              channels.relay_to_destination[i]});
+  }
+  return topology;
 }
 
 // The PR's acceptance scenario: a degraded direct path and a strong
@@ -226,7 +243,7 @@ TEST(RecoverySessionTest, RelaySpendsFewerSourceRepairBitsThanCoded) {
     const auto channels =
         MakeGeChannels(cb, DegradedParams(), StrongParams(), StrongParams(),
                        direct_a, overhear, relay_link);
-    const auto relay = RunRelayRecoveryExchange(
+    const auto relay = RunMultiRelayRecoveryExchange(
         payload, relay_config, *MakeRecoveryStrategy(relay_config), channels);
 
     PpArqConfig coded_config;
@@ -263,14 +280,11 @@ TEST(RecoverySessionTest, RelaySessionDeliversExactPayload) {
 
   const BitVec body = PpArqSender::MakeBody(payload);
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  RecoverySession session(RelayTopology(channels));
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   const PartyId dest_id = session.AddParty(
       strategy->MakeDestinationParticipant(1, body.size() / 4));
   session.AddParty(strategy->MakeRelayParticipant(1, 1, body.size() / 4));
-  session.SetEdgeChannel(0, dest_id, channels.source_to_destination);
-  session.SetEdgeChannel(0, 2, channels.source_to_relay);
-  session.SetEdgeChannel(2, dest_id, channels.relay_to_destination);
   session.TransmitInitial(0, body);
   const auto stats = session.Run(32);
   ASSERT_TRUE(stats.totals.success);
@@ -288,13 +302,13 @@ TEST(RecoverySessionTest, SilentRelayFallsBackToSourceOnly) {
   const BitVec payload = RandomPayload(prng, 120);
   PpArqConfig config;
   config.recovery = RecoveryMode::kRelayCodedRepair;
-  RelayExchangeChannels channels;
+  MultiRelayExchangeChannels channels;
   Rng direct(642);
   channels.source_to_destination =
       MakeGilbertElliottChannel(cb, DegradedParams(), direct);
-  channels.source_to_relay = DeadChannel();  // the relay hears only noise
-  channels.relay_to_destination = PerfectChannel();
-  const auto stats = RunRelayRecoveryExchange(
+  channels.source_to_relay = {DeadChannel()};  // the relay hears only noise
+  channels.relay_to_destination = {PerfectChannel()};
+  const auto stats = RunMultiRelayRecoveryExchange(
       payload, config, *MakeRecoveryStrategy(config), channels);
   EXPECT_TRUE(stats.totals.success);
   EXPECT_EQ(stats.parties[kSessionRelayId].repair_bits, 0u);
@@ -314,33 +328,30 @@ TEST(RecoverySessionTest, RelayMissDoesNotPoisonDestination) {
   PpArqConfig config;
   config.recovery = RecoveryMode::kRelayCodedRepair;
 
-  RelayExchangeChannels channels;
+  MultiRelayExchangeChannels channels;
   Rng direct(652);
   channels.source_to_destination =
       MakeGilbertElliottChannel(cb, DegradedParams(), direct);
   // The relay's copy: confidently wrong in a stretch of codewords — a
   // modeled SoftPHY miss (hint 0 despite flipped bits).
-  channels.source_to_relay = [perfect =
-                                  PerfectChannel()](const BitVec& bits) {
+  channels.source_to_relay = {[perfect =
+                                   PerfectChannel()](const BitVec& bits) {
     auto symbols = perfect(bits);
     for (std::size_t i = 40; i < 80 && i < symbols.size(); ++i) {
       symbols[i].symbol = static_cast<std::uint8_t>(symbols[i].symbol ^ 0x5);
       symbols[i].hint = 0.0;
     }
     return symbols;
-  };
-  channels.relay_to_destination = PerfectChannel();
+  }};
+  channels.relay_to_destination = {PerfectChannel()};
 
   const BitVec body = PpArqSender::MakeBody(payload);
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  RecoverySession session(RelayTopology(channels));
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   const PartyId dest_id = session.AddParty(
       strategy->MakeDestinationParticipant(1, body.size() / 4));
   session.AddParty(strategy->MakeRelayParticipant(1, 1, body.size() / 4));
-  session.SetEdgeChannel(0, dest_id, channels.source_to_destination);
-  session.SetEdgeChannel(0, 2, channels.source_to_relay);
-  session.SetEdgeChannel(2, dest_id, channels.relay_to_destination);
   session.TransmitInitial(0, body);
   const auto stats = session.Run(32);
   ASSERT_TRUE(stats.totals.success);
@@ -380,7 +391,7 @@ TEST(MultiRelaySessionTest, SingleRelayReproducesLegacyCrelayRepairPath) {
     const auto channels =
         MakeGeChannels(cb, DegradedParams(), StrongParams(), StrongParams(),
                        direct, overhear, relay_hop);
-    const auto stats = RunRelayRecoveryExchange(
+    const auto stats = RunMultiRelayRecoveryExchange(
         payload, config, *MakeRecoveryStrategy(config), channels);
     ASSERT_TRUE(stats.totals.success) << "seed=" << pin.seed;
     EXPECT_EQ(stats.rounds, pin.rounds) << "seed=" << pin.seed;
@@ -432,18 +443,13 @@ TEST(MultiRelaySessionTest, TwoRelaySessionDeliversExactPayload) {
       MakeGilbertElliottChannel(cb, StrongParams(), hop_b)};
   const BitVec body = PpArqSender::MakeBody(payload);
   const auto strategy = MakeRecoveryStrategy(config);
-  RecoverySession session;
+  RecoverySession session(RelayTopology(channels));
   session.AddParty(strategy->MakeSourceParticipant(body, 1));
   const PartyId dest_id = session.AddParty(
       strategy->MakeDestinationParticipant(1, body.size() / 4));
   for (std::uint8_t r = 1; r <= 2; ++r) {
-    const PartyId id = session.AddParty(
-        strategy->MakeRelayParticipant(r, 1, body.size() / 4));
-    session.SetEdgeChannel(0, id, channels.source_to_relay[r - 1]);
-    session.SetEdgeChannel(id, dest_id,
-                           channels.relay_to_destination[r - 1]);
+    session.AddParty(strategy->MakeRelayParticipant(r, 1, body.size() / 4));
   }
-  session.SetEdgeChannel(0, dest_id, channels.source_to_destination);
   session.TransmitInitial(0, body);
   const auto stats = session.Run(32);
   ASSERT_TRUE(stats.totals.success);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "arq/link_sim.h"
+#include "arq/recovery_session.h"
 #include "common/rng.h"
 
 namespace ppr::arq {
@@ -194,8 +195,10 @@ TEST(RecoveryStrategyTest, ChunkStrategyMatchesLegacyExchange) {
 
   Rng rng_b(522);
   auto channel_b = MakeGilbertElliottChannel(cb, BurstyParams(), rng_b);
-  const auto via_strategy = RunRecoveryExchange(
-      payload, config, *MakeRecoveryStrategy(config), channel_b);
+  const auto via_strategy =
+      RunRecoveryExchangeSession(payload, config,
+                                 *MakeRecoveryStrategy(config), channel_b)
+          .totals;
 
   EXPECT_EQ(via_dispatch.success, via_strategy.success);
   EXPECT_EQ(via_dispatch.data_transmissions, via_strategy.data_transmissions);

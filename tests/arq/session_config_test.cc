@@ -1,8 +1,6 @@
-// SessionConfig + RunRound stepping (satellites of the flow engine
-// PR): the immutable-topology constructor must reproduce the
-// deprecated setter path bit for bit, and stepping a session one
-// RunRound at a time — the way the flow engine drives compat sessions
-// — must equal the blocking Run() loop exactly.
+// SessionConfig, the one way to build a session's topology: it is
+// checked at construction and again, against the final roster, when
+// traffic first moves.
 #include "arq/recovery_session.h"
 
 #include <gtest/gtest.h>
@@ -27,15 +25,6 @@ BitVec RandomPayload(Rng& rng, std::size_t octets) {
   return bits;
 }
 
-GilbertElliottParams DegradedParams() {
-  GilbertElliottParams params;
-  params.p_good_to_bad = 0.03;
-  params.p_bad_to_good = 0.12;
-  params.chip_error_good = 0.004;
-  params.chip_error_bad = 0.25;
-  return params;
-}
-
 GilbertElliottParams StrongParams() {
   GilbertElliottParams params;
   params.p_good_to_bad = 0.001;
@@ -43,90 +32,6 @@ GilbertElliottParams StrongParams() {
   params.chip_error_good = 0.0005;
   params.chip_error_bad = 0.05;
   return params;
-}
-
-bool StatsEqual(const SessionRunStats& a, const SessionRunStats& b) {
-  if (a.totals.success != b.totals.success ||
-      a.totals.data_transmissions != b.totals.data_transmissions ||
-      a.totals.forward_bits != b.totals.forward_bits ||
-      a.totals.feedback_bits != b.totals.feedback_bits ||
-      a.totals.retransmission_bits != b.totals.retransmission_bits ||
-      a.rounds != b.rounds ||
-      a.max_round_relay_bits != b.max_round_relay_bits ||
-      a.relay_deferrals != b.relay_deferrals ||
-      a.parties.size() != b.parties.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.parties.size(); ++i) {
-    if (a.parties[i].repair_bits != b.parties[i].repair_bits ||
-        a.parties[i].repair_messages != b.parties[i].repair_messages ||
-        a.parties[i].feedback_bits != b.parties[i].feedback_bits) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// One lossy three-party exchange, built either through SessionConfig
-// (config=true) or through the deprecated setters (config=false), then
-// driven either by Run(32) (stepped=false) or by RunRound stepping
-// (stepped=true). All four combinations must produce identical stats.
-SessionRunStats RunGoldenExchange(bool via_config, bool stepped) {
-  const phy::ChipCodebook cb;
-  Rng prng(731);
-  const BitVec payload = RandomPayload(prng, 150);
-  PpArqConfig config;
-  config.recovery = RecoveryMode::kRelayCodedRepair;
-  config.relay_parties = 1;
-  const auto strategy = MakeRecoveryStrategy(config);
-  const BitVec body = PpArqSender::MakeBody(payload);
-  const std::size_t total_codewords = body.size() / config.bits_per_codeword;
-
-  Rng direct(732), overhear(733), hop(734);
-  auto direct_ch = MakeGilbertElliottChannel(cb, DegradedParams(), direct);
-  auto overhear_ch = MakeGilbertElliottChannel(cb, StrongParams(), overhear);
-  auto hop_ch = MakeGilbertElliottChannel(cb, StrongParams(), hop);
-
-  RecoverySession session = [&] {
-    if (!via_config) return RecoverySession();
-    SessionConfig topology;
-    topology.edges.push_back(
-        {kSessionSourceId, kSessionDestinationId, direct_ch});
-    topology.edges.push_back({kSessionSourceId, kSessionRelayId, overhear_ch});
-    topology.edges.push_back(
-        {kSessionRelayId, kSessionDestinationId, hop_ch});
-    return RecoverySession(std::move(topology));
-  }();
-  session.AddParty(strategy->MakeSourceParticipant(body, 1));
-  session.AddParty(strategy->MakeDestinationParticipant(1, total_codewords));
-  session.AddParty(strategy->MakeRelayParticipant(1, 1, total_codewords));
-  if (!via_config) {
-    session.SetEdgeChannel(kSessionSourceId, kSessionDestinationId, direct_ch);
-    session.SetEdgeChannel(kSessionSourceId, kSessionRelayId, overhear_ch);
-    session.SetEdgeChannel(kSessionRelayId, kSessionDestinationId, hop_ch);
-  }
-  session.TransmitInitial(kSessionSourceId, body);
-  if (!stepped) return session.Run(32);
-  for (std::size_t round = 0; round < 32; ++round) {
-    if (!session.RunRound()) return session.stats();
-  }
-  return session.Conclude();
-}
-
-TEST(SessionConfigTest, ConfigAndSetterPathsAreBitIdentical) {
-  const SessionRunStats setter = RunGoldenExchange(false, false);
-  const SessionRunStats config = RunGoldenExchange(true, false);
-  ASSERT_TRUE(setter.totals.success);
-  EXPECT_TRUE(StatsEqual(setter, config));
-}
-
-TEST(SessionConfigTest, RunRoundSteppingEqualsBlockingRun) {
-  const SessionRunStats blocking = RunGoldenExchange(true, false);
-  const SessionRunStats stepped = RunGoldenExchange(true, true);
-  ASSERT_TRUE(blocking.totals.success);
-  EXPECT_TRUE(StatsEqual(blocking, stepped));
-  // And mixed: setter-built, stepped.
-  EXPECT_TRUE(StatsEqual(blocking, RunGoldenExchange(false, true)));
 }
 
 TEST(SessionConfigTest, ConstructionRejectsDegenerateTopology) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "arq/link_sim.h"
 #include "arq/pp_arq.h"
 #include "arq/recovery_strategy.h"
@@ -159,6 +161,28 @@ TEST(CollisionRunnerTest, ResolveDeliversWithFewerRepairBitsThanDiscard) {
   EXPECT_GT(pairs, 0u);
   // Collision recovery yields strictly cheaper repair at equal delivery.
   EXPECT_LT(resolve_repair, discard_repair);
+}
+
+// Captures are 4-bit DSSS nibbles: any other codeword width is a
+// configuration error, not a silently different exchange.
+TEST(CollisionRunnerTest, RejectsCodewordWidthOtherThanFour) {
+  arq::PpArqConfig config;
+  config.recovery = arq::RecoveryMode::kCollisionResolve;
+  const auto strategy = arq::MakeRecoveryStrategy(config);
+  config.bits_per_codeword = 8;
+  const phy::ChipCodebook codebook;
+  Rng payload_rng(5), episode_rng(6), channel_rng(7);
+  BitVec payload;
+  for (std::size_t i = 0; i < 16; ++i) {
+    payload.AppendUint(payload_rng.UniformInt(256), 8);
+  }
+  const auto channel = arq::MakeChipErrorChannel(codebook, 0.0, channel_rng);
+  EXPECT_THROW(RunCollisionRecoveryExchange(payload, config, *strategy,
+                                            channel, CollisionEpisodeParams{},
+                                            episode_rng,
+                                            CollisionListenerConfig{},
+                                            /*resolve=*/true),
+               std::invalid_argument);
 }
 
 TEST(CollisionListenerTest, StatsAccumulateAcrossEpisodes) {

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "common/bitvec.h"
+#include "common/crc.h"
+#include "common/rng.h"
+#include "phy/chip_sequences.h"
 
 namespace ppr::stream {
 namespace {
@@ -173,6 +178,136 @@ TEST(StreamSessionTest, ReedSolomonIsDeterministicAcrossRuns) {
   EXPECT_EQ(a.repair_bits, b.repair_bits);
   EXPECT_EQ(a.finished_at_us, b.finished_at_us);
   EXPECT_EQ(a.latency_us, b.latency_us);
+}
+
+// A perfect channel that rewrites the first repair frame the source
+// sends and re-seals its CRC-32, so the destination receives a
+// CRC-valid frame it must reject: kUndefinedType turns it into a
+// type-2 frame in the source layout, kZeroSpan zeroes its span.
+enum class Tamper { kUndefinedType, kZeroSpan };
+
+arq::BodyChannel TamperFirstRepairChannel(Tamper tamper,
+                                          std::size_t symbol_bytes) {
+  auto tampered = std::make_shared<bool>(false);
+  return [tampered, tamper, symbol_bytes,
+          clean = CleanChannel()](const BitVec& bits) {
+    // Repair layout: type (2) | first_id (16) | span (16) | seed (32) |
+    // payload | crc32, zero-padded to whole codewords.
+    constexpr std::size_t kRepairHeaderBits = 2 + 16 + 16 + 32;
+    if (*tampered || bits.ReadUint(0, 2) != 1) return clean(bits);
+    *tampered = true;
+    const std::size_t payload_bits = symbol_bytes * 8;
+    BitVec body;
+    if (tamper == Tamper::kUndefinedType) {
+      body.AppendUint(2, 2);
+      body.AppendBits(bits.Slice(2, 16));
+      body.AppendBits(bits.Slice(kRepairHeaderBits, payload_bits));
+    } else {
+      body = bits.Slice(0, kRepairHeaderBits + payload_bits);
+      for (std::size_t i = 18; i < 34; ++i) body.Set(i, false);
+    }
+    body.AppendUint(Crc32Bits(body), 32);
+    while (body.size() % 4 != 0) body.PushBack(false);
+    return clean(body);
+  };
+}
+
+// A CRC-valid frame of an undefined type, or a repair frame spanning
+// nothing, is dropped and counted as lost like a CRC failure; it must
+// not reach the decoders.
+TEST(StreamSessionTest, MalformedCrcValidFrameCountsAsLost) {
+  for (const auto codec : {fec::CodecKind::kRlnc, fec::CodecKind::kReedSolomon}) {
+    for (const auto tamper : {Tamper::kUndefinedType, Tamper::kZeroSpan}) {
+      const StreamSessionConfig config =
+          codec == fec::CodecKind::kRlnc ? SmallConfig() : RsConfig();
+      const auto controller = MakeFixedRateController();
+      const auto stats = RunStreamSession(
+          config, *controller,
+          TamperFirstRepairChannel(tamper, config.symbol_bytes));
+      const auto label = std::string(fec::CodecKindName(codec)) +
+                         (tamper == Tamper::kZeroSpan ? "/zero-span"
+                                                      : "/undefined-type");
+      EXPECT_EQ(stats.delivered, config.total_packets) << label;
+      EXPECT_EQ(stats.payload_mismatches, 0u) << label;
+      EXPECT_EQ(stats.source_frames_lost, 0u) << label;
+      EXPECT_EQ(stats.repair_frames_lost, 1u) << label;
+    }
+  }
+}
+
+void AppendHistogram(BitVec& transcript, const obs::HistogramSnapshot& h) {
+  transcript.AppendUint(h.count, 64);
+  transcript.AppendUint(h.sum, 64);
+  transcript.AppendUint(h.min, 64);
+  transcript.AppendUint(h.max, 64);
+  transcript.AppendUint(h.buckets.size(), 32);
+  for (const std::uint64_t b : h.buckets) transcript.AppendUint(b, 64);
+}
+
+// Every StreamSessionStats field, latency snapshots included.
+std::uint32_t StatsCrc(const StreamSessionStats& s) {
+  BitVec transcript;
+  for (const std::uint64_t v :
+       {std::uint64_t{s.source_sent}, std::uint64_t{s.repair_sent},
+        std::uint64_t{s.source_frames_lost},
+        std::uint64_t{s.repair_frames_lost}, s.source_bits, s.repair_bits,
+        s.feedback_bits, std::uint64_t{s.feedback_frames},
+        std::uint64_t{s.delivered}, std::uint64_t{s.recovered},
+        std::uint64_t{s.undelivered}, std::uint64_t{s.payload_mismatches},
+        std::uint64_t{s.backpressure_stalls},
+        std::uint64_t{s.decoder_stale_dropped},
+        std::uint64_t{s.decoder_overflow_dropped},
+        std::uint64_t{s.ambiguous_id_dropped}, s.finished_at_us}) {
+    transcript.AppendUint(v, 64);
+  }
+  AppendHistogram(transcript, s.latency_us);
+  AppendHistogram(transcript, s.recovered_latency_us);
+  return Crc32Bits(transcript);
+}
+
+// Golden pins for the session's event loop: each controller under
+// both codecs on a seeded Gilbert-Elliott channel. The determinism
+// tests above compare two runs of one build; these constants also
+// catch a trajectory that changes from one version to the next.
+TEST(StreamSessionTest, GoldenTrajectoriesPerControllerAndCodec) {
+  struct Pinned {
+    ControllerKind controller;
+    fec::CodecKind codec;
+    std::uint32_t crc;
+  };
+  const Pinned pinned[] = {
+      {ControllerKind::kFixedRate, fec::CodecKind::kRlnc, 0x524A944Fu},
+      {ControllerKind::kAckDeficit, fec::CodecKind::kRlnc, 0xB17E300Eu},
+      {ControllerKind::kDeadline, fec::CodecKind::kRlnc, 0x050A38FCu},
+      {ControllerKind::kFixedRate, fec::CodecKind::kReedSolomon, 0x0631C7B6u},
+      {ControllerKind::kAckDeficit, fec::CodecKind::kReedSolomon, 0x602AA9AEu},
+      {ControllerKind::kDeadline, fec::CodecKind::kReedSolomon, 0x045DE08Du},
+  };
+  const phy::ChipCodebook codebook;
+  arq::GilbertElliottParams params;
+  params.p_good_to_bad = 0.01;
+  params.p_bad_to_good = 0.2;
+  params.chip_error_good = 0.001;
+  params.chip_error_bad = 0.25;
+  for (const Pinned& pin : pinned) {
+    StreamSessionConfig config =
+        pin.codec == fec::CodecKind::kRlnc ? SmallConfig() : RsConfig();
+    // Feedback slow enough that the deadline controller's protect
+    // bursts fire, so its trajectory differs from ack-deficit's.
+    config.feedback_interval_us = 20'000;
+    Rng rng(0x5E55);
+    const auto channel = arq::MakeGilbertElliottChannel(codebook, params, rng);
+    const auto controller = MakeController(pin.controller);
+    const auto stats = RunStreamSession(config, *controller, channel);
+    const auto label = std::string(ControllerKindName(pin.controller)) + "/" +
+                       std::string(fec::CodecKindName(pin.codec));
+    EXPECT_EQ(stats.delivered, config.total_packets) << label;
+    EXPECT_EQ(stats.payload_mismatches, 0u) << label;
+    EXPECT_GT(stats.source_frames_lost, 0u) << label;
+    EXPECT_GT(stats.recovered, 0u) << label;
+    EXPECT_EQ(StatsCrc(stats), pin.crc)
+        << label << " got 0x" << std::hex << StatsCrc(stats);
+  }
 }
 
 TEST(StreamSessionTest, ReedSolomonRejectsBadShapes) {
