@@ -95,14 +95,11 @@ void PpArqReceiver::IngestInitial(
   if (symbols.size() != hints_.size()) {
     throw std::invalid_argument("IngestInitial: codeword count mismatch");
   }
-  const std::size_t bpc = config_.bits_per_codeword;
+  const auto bpc = static_cast<unsigned>(config_.bits_per_codeword);
   for (std::size_t i = 0; i < symbols.size(); ++i) {
     if (symbols[i].hint <= hints_[i]) {
       hints_[i] = symbols[i].hint;
-      for (std::size_t b = 0; b < bpc; ++b) {
-        bits_.Set(i * bpc + b,
-                  (symbols[i].symbol >> (bpc - 1 - b)) & 1u);
-      }
+      bits_.WriteUint(i * bpc, symbols[i].symbol, bpc);
     }
   }
   received_anything_ = true;
@@ -110,7 +107,7 @@ void PpArqReceiver::IngestInitial(
 
 void PpArqReceiver::IngestRetransmission(
     const std::vector<ReceivedSegment>& segments) {
-  const std::size_t bpc = config_.bits_per_codeword;
+  const auto bpc = static_cast<unsigned>(config_.bits_per_codeword);
   for (const auto& seg : segments) {
     if (seg.symbols.size() != seg.range.length ||
         seg.range.offset + seg.range.length > hints_.size()) {
@@ -133,9 +130,7 @@ void PpArqReceiver::IngestRetransmission(
       }
       if (take) {
         hints_[cw] = sym.hint;
-        for (std::size_t b = 0; b < bpc; ++b) {
-          bits_.Set(cw * bpc + b, (sym.symbol >> (bpc - 1 - b)) & 1u);
-        }
+        bits_.WriteUint(cw * bpc, sym.symbol, bpc);
       }
     }
   }

@@ -55,13 +55,11 @@ struct SoftPhyBody {
     if (symbols.size() != hints.size()) {
       throw std::invalid_argument("IngestInitial: codeword count mismatch");
     }
-    const std::size_t bpc = bits_per_codeword;
+    const auto bpc = static_cast<unsigned>(bits_per_codeword);
     for (std::size_t i = 0; i < symbols.size(); ++i) {
       if (symbols[i].hint <= hints[i]) {
         hints[i] = symbols[i].hint;
-        for (std::size_t b = 0; b < bpc; ++b) {
-          bits.Set(i * bpc + b, (symbols[i].symbol >> (bpc - 1 - b)) & 1u);
-        }
+        bits.WriteUint(i * bpc, symbols[i].symbol, bpc);
       }
     }
     received = true;

@@ -15,6 +15,14 @@ namespace ppr {
 // append order. This is the common currency between the framing layer
 // (payload bits), the spreader (bits -> chips), and the feedback codec
 // (variable-width fields).
+//
+// Bytes and unsigned fields are serialised most-significant bit first
+// (FromBytes/ToBytes, AppendUint/ReadUint/WriteUint); the *LsbFirst
+// calls move bits in storage order, which is also phy::ChipWord's
+// (chip 0 in the LSB). The multi-bit calls work a 64-bit word at a
+// time. Slice and the positioned reads and writes check their range in
+// every build and throw std::out_of_range past the end; a width above
+// 64 throws std::invalid_argument.
 class BitVec {
  public:
   BitVec() = default;
@@ -41,13 +49,20 @@ class BitVec {
 
   void PushBack(bool bit);
   // Appends the low `width` bits of `value`, most-significant first.
-  // Width must be <= 64.
   void AppendUint(std::uint64_t value, unsigned width);
+  // Appends the low `width` bits of `value`, least-significant first:
+  // bit i of `value` becomes bit size() + i.
+  void AppendLsbFirst(std::uint64_t value, unsigned width);
   void AppendBits(const BitVec& other);
 
   // Reads `width` bits starting at `pos`, most-significant first.
-  // Requires pos + width <= size().
   std::uint64_t ReadUint(std::size_t pos, unsigned width) const;
+  // Reads `width` bits starting at `pos`, least-significant first: bit
+  // pos + i becomes bit i of the result. Inverse of AppendLsbFirst.
+  std::uint64_t ReadLsbFirst(std::size_t pos, unsigned width) const;
+  // Overwrites bits [pos, pos + width) with the low `width` bits of
+  // `value`, most-significant first, so ReadUint(pos, width) returns them.
+  void WriteUint(std::size_t pos, std::uint64_t value, unsigned width);
 
   // Extracts bits [pos, pos + count) as a new vector.
   BitVec Slice(std::size_t pos, std::size_t count) const;
@@ -71,6 +86,16 @@ class BitVec {
 
  private:
   static constexpr std::size_t kWordBits = 64;
+
+  // Unchecked word cores of the multi-bit calls: width <= 64 and the
+  // range lies inside the vector. Bits move LSB-first.
+  std::uint64_t ReadWord(std::size_t pos, unsigned width) const;
+  void WriteWord(std::size_t pos, std::uint64_t value, unsigned width);
+  void AppendWord(std::uint64_t value, unsigned width);
+
+  // Invariant: words_.size() == ceil(size_ / 64), and the bits of the
+  // last word at and above size_ % 64 are zero, so PopCount, equality
+  // and HammingDistance can work on whole words.
   std::vector<std::uint64_t> words_;
   std::size_t size_ = 0;
 };

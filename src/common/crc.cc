@@ -51,9 +51,4 @@ std::uint16_t Crc16(std::span<const std::uint8_t> data) {
   return crc;
 }
 
-std::uint16_t Crc16Bits(const BitVec& bits) {
-  const auto bytes = bits.ToBytes();
-  return Crc16(bytes);
-}
-
 }  // namespace ppr

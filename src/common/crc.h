@@ -27,6 +27,4 @@ std::uint32_t Crc32Bits(const BitVec& bits);
 // IEEE 802.15.4 frames.
 std::uint16_t Crc16(std::span<const std::uint8_t> data);
 
-std::uint16_t Crc16Bits(const BitVec& bits);
-
 }  // namespace ppr

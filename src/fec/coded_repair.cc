@@ -20,30 +20,32 @@ std::vector<std::vector<std::uint8_t>> BodyToSymbols(
   if (body.size() % bits_per_codeword != 0) {
     throw std::invalid_argument("BodyToSymbols: ragged body");
   }
-  const std::size_t n = (body.size() + symbol_bits - 1) / symbol_bits;
+  // Symbols start on octet boundaries, so each is a run of the body's
+  // bytes; ToBytes already zero-pads the final byte.
+  const std::size_t symbol_bytes = symbol_bits / 8;
+  const std::vector<std::uint8_t> bytes = body.ToBytes();
   std::vector<std::vector<std::uint8_t>> symbols;
-  symbols.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    const std::size_t begin = s * symbol_bits;
-    const std::size_t len = std::min(symbol_bits, body.size() - begin);
-    BitVec chunk = body.Slice(begin, len);
-    while (chunk.size() < symbol_bits) chunk.PushBack(false);
-    symbols.push_back(chunk.ToBytes());
+  symbols.reserve((bytes.size() + symbol_bytes - 1) / symbol_bytes);
+  for (std::size_t begin = 0; begin < bytes.size(); begin += symbol_bytes) {
+    const std::size_t end = std::min(bytes.size(), begin + symbol_bytes);
+    auto& symbol = symbols.emplace_back(bytes.begin() + begin,
+                                        bytes.begin() + end);
+    symbol.resize(symbol_bytes, 0);
   }
   return symbols;
 }
 
 BitVec SymbolsToBody(const std::vector<std::vector<std::uint8_t>>& symbols,
                      std::size_t body_bits) {
-  BitVec body;
+  std::vector<std::uint8_t> bytes;
   for (const auto& s : symbols) {
-    body.AppendBits(BitVec::FromBytes(s));
-    if (body.size() >= body_bits) break;
+    bytes.insert(bytes.end(), s.begin(), s.end());
+    if (8 * bytes.size() >= body_bits) break;
   }
-  if (body.size() < body_bits) {
+  if (8 * bytes.size() < body_bits) {
     throw std::invalid_argument("SymbolsToBody: symbols cover too few bits");
   }
-  return body.Slice(0, body_bits);
+  return BitVec::FromBytes(bytes).Slice(0, body_bits);
 }
 
 namespace {

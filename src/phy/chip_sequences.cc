@@ -58,7 +58,7 @@ bool ChipCodebook::Chip(int symbol, int i) const {
 
 BitVec ChipCodebook::CodewordBits(int symbol) const {
   BitVec v;
-  for (int i = 0; i < kChipsPerSymbol; ++i) v.PushBack(Chip(symbol, i));
+  v.AppendLsbFirst(Codeword(symbol), kChipsPerSymbol);
   return v;
 }
 

@@ -8,19 +8,6 @@
 #include <utility>
 
 namespace ppr::phy {
-namespace {
-
-ChipWord PackWindow(const BitVec& chips, std::size_t start) {
-  ChipWord w = 0;
-  for (int i = 0; i < kChipsPerSymbol; ++i) {
-    if (chips.Get(start + static_cast<std::size_t>(i))) {
-      w |= ChipWord{1} << i;
-    }
-  }
-  return w;
-}
-
-}  // namespace
 
 std::vector<DecodedSymbol> DespreadHard(const ChipCodebook& codebook,
                                         const BitVec& chips) {
@@ -30,7 +17,8 @@ std::vector<DecodedSymbol> DespreadHard(const ChipCodebook& codebook,
   std::vector<DecodedSymbol> out;
   out.reserve(chips.size() / kChipsPerSymbol);
   for (std::size_t pos = 0; pos < chips.size(); pos += kChipsPerSymbol) {
-    const ChipWord received = PackWindow(chips, pos);
+    const auto received =
+        static_cast<ChipWord>(chips.ReadLsbFirst(pos, kChipsPerSymbol));
     DecodedSymbol d;
     int distance = 0;
     d.symbol = static_cast<std::uint8_t>(codebook.DecodeHard(received, &distance));

@@ -52,9 +52,7 @@ BitVec SpreadSymbols(const ChipCodebook& codebook,
   BitVec chips;
   for (std::uint8_t s : symbols) {
     assert(s < kNumSymbols);
-    for (int i = 0; i < kChipsPerSymbol; ++i) {
-      chips.PushBack(codebook.Chip(s, i));
-    }
+    chips.AppendLsbFirst(codebook.Codeword(s), kChipsPerSymbol);
   }
   return chips;
 }

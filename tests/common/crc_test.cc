@@ -79,7 +79,6 @@ TEST(CrcBitsTest, MatchesByteCrcForWholeOctets) {
   const std::uint8_t bytes[] = {0x12, 0x34, 0x56};
   const BitVec bits = BitVec::FromBytes(bytes);
   EXPECT_EQ(Crc32Bits(bits), Crc32(bytes));
-  EXPECT_EQ(Crc16Bits(bits), Crc16(bytes));
 }
 
 TEST(CrcBitsTest, DistinguishesDifferentBitStrings) {

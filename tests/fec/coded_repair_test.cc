@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/crc.h"
@@ -24,6 +25,61 @@ TEST(BodySymbolsTest, RoundtripWithTailPadding) {
   EXPECT_EQ(symbols.size(), (101u + 7u) / 8u);
   for (const auto& s : symbols) EXPECT_EQ(s.size(), 4u);
   EXPECT_EQ(SymbolsToBody(symbols, body.size()), body);
+}
+
+// The split BodyToSymbols replaced: slice each symbol, zero-pad it and
+// pack it MSB-first, one bit at a time.
+std::vector<std::vector<std::uint8_t>> BitSerialSymbols(
+    const BitVec& body, std::size_t symbol_bits) {
+  std::vector<std::vector<std::uint8_t>> symbols;
+  for (std::size_t begin = 0; begin < body.size(); begin += symbol_bits) {
+    std::vector<std::uint8_t> s(symbol_bits / 8, 0);
+    for (std::size_t i = 0; i < symbol_bits && begin + i < body.size(); ++i) {
+      if (body.Get(begin + i)) {
+        s[i / 8] |= static_cast<std::uint8_t>(0x80u >> (i % 8));
+      }
+    }
+    symbols.push_back(std::move(s));
+  }
+  return symbols;
+}
+
+TEST(BodySymbolsTest, MatchesBitSerialSplitWithRaggedTails) {
+  Rng rng(403);
+  for (const std::size_t symbol_bytes : {1u, 2u, 8u, 32u}) {
+    const std::size_t codewords_per_symbol = 2 * symbol_bytes;
+    for (const std::size_t codewords :
+         {0u, 1u, 3u, 15u, 16u, 17u, 63u, 64u, 65u, 129u, 513u}) {
+      const BitVec body = RandomBody(rng, 4 * codewords);
+      const auto symbols = BodyToSymbols(body, 4, codewords_per_symbol);
+      ASSERT_EQ(symbols, BitSerialSymbols(body, 8 * symbol_bytes))
+          << "symbol_bytes=" << symbol_bytes << " codewords=" << codewords;
+      ASSERT_EQ(SymbolsToBody(symbols, body.size()), body);
+    }
+  }
+}
+
+TEST(BodySymbolsTest, SymbolsToBodyTakesTheLeadingBits) {
+  Rng rng(404);
+  for (const std::size_t symbol_bytes : {1u, 2u, 8u, 32u}) {
+    std::vector<std::vector<std::uint8_t>> symbols(5);
+    BitVec all;
+    for (auto& s : symbols) {
+      s.resize(symbol_bytes);
+      for (auto& b : s) b = static_cast<std::uint8_t>(rng.Next());
+      for (std::size_t i = 0; i < 8 * symbol_bytes; ++i) {
+        all.PushBack((s[i / 8] >> (7 - i % 8)) & 1u);
+      }
+    }
+    for (std::size_t body_bits = 0; body_bits <= all.size(); body_bits += 3) {
+      BitVec want;
+      for (std::size_t i = 0; i < body_bits; ++i) want.PushBack(all.Get(i));
+      ASSERT_EQ(SymbolsToBody(symbols, body_bits), want)
+          << "symbol_bytes=" << symbol_bytes << " body_bits=" << body_bits;
+    }
+    EXPECT_THROW(SymbolsToBody(symbols, all.size() + 1),
+                 std::invalid_argument);
+  }
 }
 
 TEST(BodySymbolsTest, RejectsNonOctetSymbols) {
