@@ -34,9 +34,9 @@ generation differences. The build fails (exit 1) when:
     hold records from several bench binaries without ambiguity.
     Baseline records pinned to a GF(256) backend the current host
     cannot dispatch (the current report's "impls" header names what the
-    host probed; e.g. gfni/avx512 records checked on a pre-GFNI
-    runner) are skipped with a note rather than failed: the baseline
-    is allowed to be measured on wider hardware than any one runner.
+    host probed; e.g. gfni records checked on a pre-GFNI runner) are
+    skipped with a note rather than failed: the baseline is allowed to
+    be measured on wider hardware than any one runner.
 
 Refreshing the baseline (after an intentional kernel change):
 
@@ -58,7 +58,7 @@ import sys
 # Every GF(256) backend the dispatcher can ever name; used to tell "a
 # backend this host lacks" apart from non-backend impl tags like
 # "ack-deficit" or "engine".
-GF_BACKENDS = {"scalar", "ssse3", "avx2", "neon", "gfni", "avx512"}
+GF_BACKENDS = {"scalar", "avx2", "neon", "gfni"}
 
 
 def load(path):

@@ -259,8 +259,8 @@ int RunJsonSweep(const std::string& path) {
   // `impls` names every backend this host can dispatch, so the
   // regression checker can tell "benchmark dropped" (a coverage
   // regression) from "backend unavailable on this runner" (a committed
-  // baseline measured on wider hardware, e.g. GFNI/AVX-512 records
-  // checked against a pre-GFNI CI machine).
+  // baseline measured on wider hardware, e.g. GFNI records checked
+  // against a pre-GFNI CI machine).
   std::string impls;
   for (const fec::GfImpl impl : fec::GfAvailableImpls()) {
     if (!impls.empty()) impls += ",";

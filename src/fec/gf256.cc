@@ -1,6 +1,7 @@
 #include "fec/gf256.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -38,7 +39,7 @@ constexpr Tables BuildTables() {
 
 constexpr Tables kTables = BuildTables();
 
-inline std::uint8_t MulTab(std::uint8_t a, std::uint8_t b) {
+constexpr std::uint8_t MulTab(std::uint8_t a, std::uint8_t b) {
   if (a == 0 || b == 0) return 0;
   return kTables.exp_[kTables.log_[a] + kTables.log_[b]];
 }
@@ -130,58 +131,6 @@ void ScaleScalar(std::uint8_t* data, std::uint8_t coef, std::size_t n) {
 
 #if defined(PPR_GF256_X86)
 
-__attribute__((target("ssse3"))) void AxpySsse3(std::uint8_t* dst,
-                                                std::uint8_t coef,
-                                                const std::uint8_t* src,
-                                                std::size_t n) {
-  // Below one vector the table build buys nothing and the default
-  // 8-byte FEC symbols live here: go straight to the log domain.
-  if (n < 16) {
-    AxpyLogDomain(dst, coef, src, n);
-    return;
-  }
-  const NibbleTables t = BuildNibbleTables(coef);
-  const __m128i vlo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo));
-  const __m128i vhi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi));
-  const __m128i nib = _mm_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
-    const __m128i d =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(dst + i));
-    const __m128i p = _mm_xor_si128(
-        _mm_shuffle_epi8(vlo, _mm_and_si128(s, nib)),
-        _mm_shuffle_epi8(vhi, _mm_and_si128(_mm_srli_epi64(s, 4), nib)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
-                     _mm_xor_si128(d, p));
-  }
-  AxpyLogDomain(dst + i, coef, src + i, n - i);
-}
-
-__attribute__((target("ssse3"))) void ScaleSsse3(std::uint8_t* data,
-                                                 std::uint8_t coef,
-                                                 std::size_t n) {
-  if (n < 16) {
-    ScaleLogDomain(data, coef, n);
-    return;
-  }
-  const NibbleTables t = BuildNibbleTables(coef);
-  const __m128i vlo = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo));
-  const __m128i vhi = _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi));
-  const __m128i nib = _mm_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m128i s =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(data + i));
-    const __m128i p = _mm_xor_si128(
-        _mm_shuffle_epi8(vlo, _mm_and_si128(s, nib)),
-        _mm_shuffle_epi8(vhi, _mm_and_si128(_mm_srli_epi64(s, 4), nib)));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(data + i), p);
-  }
-  ScaleLogDomain(data + i, coef, n - i);
-}
-
 __attribute__((target("avx2"))) void AxpyAvx2(std::uint8_t* dst,
                                               std::uint8_t coef,
                                               const std::uint8_t* src,
@@ -249,7 +198,7 @@ __attribute__((target("avx2"))) void ScaleAvx2(std::uint8_t* data,
 // instruction's own 0x11B reduction, which only its MULB sibling
 // hard-codes): column j of the bit-matrix is c * 2^j in this field's
 // 0x11D basis, so row i collects bit i of each column product.
-std::uint64_t GfniMatrix(std::uint8_t coef) {
+constexpr std::uint64_t GfniMatrix(std::uint8_t coef) {
   std::uint8_t row[8] = {};
   for (unsigned j = 0; j < 8; ++j) {
     const std::uint8_t col = MulTab(coef, static_cast<std::uint8_t>(1u << j));
@@ -264,6 +213,17 @@ std::uint64_t GfniMatrix(std::uint8_t coef) {
   return m;
 }
 
+constexpr std::array<std::uint64_t, 256> BuildGfniMatrices() {
+  std::array<std::uint64_t, 256> t{};
+  for (unsigned c = 0; c < 256; ++c) {
+    t[c] = GfniMatrix(static_cast<std::uint8_t>(c));
+  }
+  return t;
+}
+
+// All 256 matrices, built at compile time: a kernel call reads one.
+constexpr std::array<std::uint64_t, 256> kGfniMatrices = BuildGfniMatrices();
+
 __attribute__((target("gfni,avx2"))) void AxpyGfni(std::uint8_t* dst,
                                                    std::uint8_t coef,
                                                    const std::uint8_t* src,
@@ -272,8 +232,8 @@ __attribute__((target("gfni,avx2"))) void AxpyGfni(std::uint8_t* dst,
     AxpyLogDomain(dst, coef, src, n);
     return;
   }
-  const __m256i m = _mm256_set1_epi64x(
-      static_cast<long long>(GfniMatrix(coef)));
+  const __m256i m =
+      _mm256_set1_epi64x(static_cast<long long>(kGfniMatrices[coef]));
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
     const __m256i s =
@@ -294,8 +254,8 @@ __attribute__((target("gfni,avx2"))) void ScaleGfni(std::uint8_t* data,
     ScaleLogDomain(data, coef, n);
     return;
   }
-  const __m256i m = _mm256_set1_epi64x(
-      static_cast<long long>(GfniMatrix(coef)));
+  const __m256i m =
+      _mm256_set1_epi64x(static_cast<long long>(kGfniMatrices[coef]));
   std::size_t i = 0;
   for (; i + 32 <= n; i += 32) {
     const __m256i s =
@@ -304,93 +264,6 @@ __attribute__((target("gfni,avx2"))) void ScaleGfni(std::uint8_t* data,
                         _mm256_gf2p8affine_epi64_epi8(s, m, 0));
   }
   ScaleLogDomain(data + i, coef, n - i);
-}
-
-// 512-bit GFNI variant, picked by CompiledBackend(kGfni) when the CPU
-// also has AVX-512: same matrix, 64 products per instruction.
-__attribute__((target("gfni,avx2,avx512f,avx512bw"))) void AxpyGfni512(
-    std::uint8_t* dst, std::uint8_t coef, const std::uint8_t* src,
-    std::size_t n) {
-  if (n < 64) {
-    AxpyGfni(dst, coef, src, n);
-    return;
-  }
-  const __m512i m = _mm512_set1_epi64(static_cast<long long>(GfniMatrix(coef)));
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i s = _mm512_loadu_si512(src + i);
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i p = _mm512_gf2p8affine_epi64_epi8(s, m, 0);
-    _mm512_storeu_si512(dst + i, _mm512_xor_si512(d, p));
-  }
-  AxpyGfni(dst + i, coef, src + i, n - i);
-}
-
-__attribute__((target("gfni,avx2,avx512f,avx512bw"))) void ScaleGfni512(
-    std::uint8_t* data, std::uint8_t coef, std::size_t n) {
-  if (n < 64) {
-    ScaleGfni(data, coef, n);
-    return;
-  }
-  const __m512i m = _mm512_set1_epi64(static_cast<long long>(GfniMatrix(coef)));
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i s = _mm512_loadu_si512(data + i);
-    _mm512_storeu_si512(data + i, _mm512_gf2p8affine_epi64_epi8(s, m, 0));
-  }
-  ScaleGfni(data + i, coef, n - i);
-}
-
-// AVX-512BW split-nibble: the same two-shuffle shape as AVX2, but
-// VPSHUFB over four 128-bit lanes at once.
-__attribute__((target("avx2,avx512f,avx512bw"))) void AxpyAvx512(
-    std::uint8_t* dst, std::uint8_t coef, const std::uint8_t* src,
-    std::size_t n) {
-  if (n < 64) {
-    AxpyAvx2(dst, coef, src, n);
-    return;
-  }
-  const NibbleTables t = BuildNibbleTables(coef);
-  const __m512i vlo = _mm512_broadcast_i32x4(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo)));
-  const __m512i vhi = _mm512_broadcast_i32x4(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi)));
-  const __m512i nib = _mm512_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i s = _mm512_loadu_si512(src + i);
-    const __m512i d = _mm512_loadu_si512(dst + i);
-    const __m512i p = _mm512_xor_si512(
-        _mm512_shuffle_epi8(vlo, _mm512_and_si512(s, nib)),
-        _mm512_shuffle_epi8(vhi,
-                            _mm512_and_si512(_mm512_srli_epi64(s, 4), nib)));
-    _mm512_storeu_si512(dst + i, _mm512_xor_si512(d, p));
-  }
-  AxpyAvx2(dst + i, coef, src + i, n - i);
-}
-
-__attribute__((target("avx2,avx512f,avx512bw"))) void ScaleAvx512(
-    std::uint8_t* data, std::uint8_t coef, std::size_t n) {
-  if (n < 64) {
-    ScaleAvx2(data, coef, n);
-    return;
-  }
-  const NibbleTables t = BuildNibbleTables(coef);
-  const __m512i vlo = _mm512_broadcast_i32x4(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.lo)));
-  const __m512i vhi = _mm512_broadcast_i32x4(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(t.hi)));
-  const __m512i nib = _mm512_set1_epi8(0x0F);
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i s = _mm512_loadu_si512(data + i);
-    const __m512i p = _mm512_xor_si512(
-        _mm512_shuffle_epi8(vlo, _mm512_and_si512(s, nib)),
-        _mm512_shuffle_epi8(vhi,
-                            _mm512_and_si512(_mm512_srli_epi64(s, 4), nib)));
-    _mm512_storeu_si512(data + i, p);
-  }
-  ScaleAvx2(data + i, coef, n - i);
 }
 
 #endif  // PPR_GF256_X86
@@ -457,21 +330,10 @@ std::optional<Backend> CompiledBackend(GfImpl impl) {
     case GfImpl::kScalar:
       return Backend{AxpyScalar, ScaleScalar};
 #if defined(PPR_GF256_X86)
-    case GfImpl::kSsse3:
-      return Backend{AxpySsse3, ScaleSsse3};
     case GfImpl::kAvx2:
       return Backend{AxpyAvx2, ScaleAvx2};
     case GfImpl::kGfni:
-      // One backend name, widest compiled body the CPU can run: the
-      // differential CI job pins "gfni" and gets 512-bit vectors where
-      // the runner has them, 256-bit otherwise.
-      if (__builtin_cpu_supports("avx512f") &&
-          __builtin_cpu_supports("avx512bw")) {
-        return Backend{AxpyGfni512, ScaleGfni512};
-      }
       return Backend{AxpyGfni, ScaleGfni};
-    case GfImpl::kAvx512:
-      return Backend{AxpyAvx512, ScaleAvx512};
 #endif
 #if defined(PPR_GF256_ARM)
     case GfImpl::kNeon:
@@ -487,15 +349,10 @@ bool CpuSupports(GfImpl impl) {
     case GfImpl::kScalar:
       return true;
 #if defined(PPR_GF256_X86)
-    case GfImpl::kSsse3:
-      return __builtin_cpu_supports("ssse3");
     case GfImpl::kAvx2:
       return __builtin_cpu_supports("avx2");
     case GfImpl::kGfni:
       return __builtin_cpu_supports("gfni") && __builtin_cpu_supports("avx2");
-    case GfImpl::kAvx512:
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw");
 #endif
 #if defined(PPR_GF256_ARM)
     case GfImpl::kNeon:
@@ -506,6 +363,10 @@ bool CpuSupports(GfImpl impl) {
   }
 }
 
+constexpr GfImpl kAllImpls[] = {GfImpl::kScalar, GfImpl::kAvx2, GfImpl::kNeon,
+                                 GfImpl::kGfni};
+static_assert(std::size(kAllImpls) == kGfImplCount);
+
 struct Active {
   GfImpl impl;
   Backend backend;
@@ -514,8 +375,7 @@ struct Active {
 Active& ActiveState() {
   static Active active = [] {
     GfImpl impl = GfImpl::kScalar;
-    for (const GfImpl cand : {GfImpl::kGfni, GfImpl::kAvx512, GfImpl::kAvx2,
-                              GfImpl::kSsse3, GfImpl::kNeon}) {
+    for (const GfImpl cand : {GfImpl::kGfni, GfImpl::kAvx2, GfImpl::kNeon}) {
       if (GfImplAvailable(cand)) {
         impl = cand;
         break;
@@ -604,23 +464,18 @@ std::string_view GfImplName(GfImpl impl) {
   switch (impl) {
     case GfImpl::kScalar:
       return "scalar";
-    case GfImpl::kSsse3:
-      return "ssse3";
     case GfImpl::kAvx2:
       return "avx2";
     case GfImpl::kNeon:
       return "neon";
     case GfImpl::kGfni:
       return "gfni";
-    case GfImpl::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
 
 std::optional<GfImpl> GfImplFromName(std::string_view name) {
-  for (const GfImpl impl : {GfImpl::kScalar, GfImpl::kSsse3, GfImpl::kAvx2,
-                            GfImpl::kNeon, GfImpl::kGfni, GfImpl::kAvx512}) {
+  for (const GfImpl impl : kAllImpls) {
     if (name == GfImplName(impl)) return impl;
   }
   return std::nullopt;
@@ -632,8 +487,7 @@ bool GfImplAvailable(GfImpl impl) {
 
 std::vector<GfImpl> GfAvailableImpls() {
   std::vector<GfImpl> impls;
-  for (const GfImpl impl : {GfImpl::kScalar, GfImpl::kSsse3, GfImpl::kAvx2,
-                            GfImpl::kNeon, GfImpl::kGfni, GfImpl::kAvx512}) {
+  for (const GfImpl impl : kAllImpls) {
     if (GfImplAvailable(impl)) impls.push_back(impl);
   }
   return impls;
@@ -670,9 +524,10 @@ void GfAxpyN(std::span<std::uint8_t> dst, std::span<const GfTerm> terms) {
   if (counted > 0) CountOp(active.impl, counted);
   // Walk dst in L1-resident blocks so one repair burst streams the
   // accumulator through cache once per block rather than once per term.
-  // Worth it only for the vector kernels, whose per-block table setup
-  // is 32 log/exp lookups; the scalar fallback rebuilds a 256-entry
-  // row per (term, block), so it keeps the one-pass-per-term shape.
+  // Worth it only for the vector kernels, whose per-block setup is one
+  // matrix load (GFNI) or 32 log/exp lookups; the scalar fallback
+  // rebuilds a 256-entry row per (term, block), so it keeps the
+  // one-pass-per-term shape.
   constexpr std::size_t kBlock = 4096;
   const std::size_t block =
       active.impl == GfImpl::kScalar ? dst.size() : kBlock;

@@ -6,18 +6,16 @@
 // operation is GfAxpy (dst ^= coef * src over a byte span), which is the
 // inner loop of both RLNC encoding and Gaussian elimination.
 //
-// GfAxpy and GfScale dispatch at runtime to the widest kernel the CPU
-// supports. The vector kernels use the split-nibble multiply shape of
+// GfAxpy and GfScale dispatch at runtime to one kernel per instruction
+// set. The GFNI kernel encodes the constant multiply as an 8x8 GF(2)
+// bit-matrix, read from a table built at compile time, and runs one
+// 256-bit GF2P8AFFINEQB per 32 products. The AVX2 (x86 without GFNI) and
+// NEON (aarch64) kernels use the split-nibble multiply shape of
 // ISA-L/moepgf: per coefficient, two 16-entry product tables (one for
 // the low nibble, one for the high nibble) turn a byte multiply into
-// two table shuffles and a XOR — PSHUFB on SSSE3/AVX2, 64-byte
-// VPSHUFB on AVX-512BW, TBL on NEON. The GFNI backend instead encodes
-// the whole constant multiply as one 8x8 GF(2) bit-matrix and runs
-// GF2P8AFFINEQB (256-bit, widened to 512-bit when AVX-512 is also
-// present): one instruction per vector of products instead of two
-// shuffles and a XOR. The scalar row-table loop remains the portable
-// fallback, and coef 1 short-circuits to a word-wide XOR on every
-// backend.
+// two table shuffles and a XOR — PSHUFB on AVX2, TBL on NEON. The scalar
+// row-table loop remains the portable fallback and the test reference,
+// and coef 1 short-circuits to a word-wide XOR on every backend.
 #pragma once
 
 #include <cstdint>
@@ -54,17 +52,16 @@ std::uint8_t GfDiv(std::uint8_t a, std::uint8_t b);
 // aarch64).
 enum class GfImpl : std::uint8_t {
   kScalar = 0,
-  kSsse3,
   kAvx2,
   kNeon,
-  // GF2P8AFFINEQB constant-matrix multiply; needs gfni + avx2, and
-  // upgrades itself to 512-bit vectors when avx512f/bw are present too.
+  // GF2P8AFFINEQB constant-matrix multiply; needs gfni + avx2.
   kGfni,
-  // 64-byte split-nibble VPSHUFB; needs avx512f + avx512bw.
-  kAvx512,
 };
 
-inline constexpr std::size_t kGfImplCount = 6;
+// Sizes per-backend arrays (the sim's GF accounting), so it must track
+// the enum.
+inline constexpr std::size_t kGfImplCount = 4;
+static_assert(static_cast<std::size_t>(GfImpl::kGfni) + 1 == kGfImplCount);
 
 std::string_view GfImplName(GfImpl impl);
 std::optional<GfImpl> GfImplFromName(std::string_view name);
@@ -76,11 +73,11 @@ bool GfImplAvailable(GfImpl impl);
 std::vector<GfImpl> GfAvailableImpls();
 
 // The backend GfAxpy/GfScale currently dispatch to. Selected once at
-// first use: the fastest available (gfni > avx512 > avx2 > ssse3 >
-// neon > scalar), unless the PPR_GF256_FORCE_IMPL environment variable
-// names one of scalar/ssse3/avx2/neon/gfni/avx512 — an unknown or
-// unavailable forced backend aborts so a CI pin can never silently
-// fall through to the wrong kernel.
+// first use: the fastest available (gfni > avx2 > neon > scalar),
+// unless the PPR_GF256_FORCE_IMPL environment variable names one of
+// scalar/avx2/neon/gfni — an unknown or unavailable forced backend
+// aborts so a CI pin can never silently fall through to the wrong
+// kernel.
 GfImpl GfActiveImpl();
 
 // Switches the dispatched backend at runtime (tests and benchmark

@@ -11,7 +11,7 @@ namespace {
 // standard's symbol-to-chip table.
 constexpr char kBaseSequence[] = "11011001110000110101001000101110";
 
-ChipWord PackFromString(const char* s) {
+constexpr ChipWord PackFromString(const char* s) {
   ChipWord w = 0;
   for (int i = 0; i < kChipsPerSymbol; ++i) {
     if (s[i] == '1') w |= (ChipWord{1} << i);
@@ -21,7 +21,7 @@ ChipWord PackFromString(const char* s) {
 
 // Right-rotate the 32-chip sequence by `n` chip positions: chip i of the
 // result is chip (i - n) mod 32 of the input.
-ChipWord RotateRight(ChipWord w, int n) {
+constexpr ChipWord RotateRight(ChipWord w, int n) {
   n &= 31;
   if (n == 0) return w;
   return std::rotl(w, n);  // chip i lives in bit i, so rotl moves chips right
@@ -29,7 +29,7 @@ ChipWord RotateRight(ChipWord w, int n) {
 
 constexpr ChipWord kOddChipMask = 0xAAAAAAAAu;
 
-std::array<ChipWord, kNumSymbols> BuildTable() {
+constexpr std::array<ChipWord, kNumSymbols> BuildTable() {
   std::array<ChipWord, kNumSymbols> table{};
   const ChipWord base = PackFromString(kBaseSequence);
   for (int s = 0; s < 8; ++s) {
@@ -42,13 +42,13 @@ std::array<ChipWord, kNumSymbols> BuildTable() {
   return table;
 }
 
-}  // namespace
+constexpr std::array<ChipWord, kNumSymbols> kTable = BuildTable();
 
-ChipCodebook::ChipCodebook() : table_(BuildTable()) {}
+}  // namespace
 
 ChipWord ChipCodebook::Codeword(int symbol) const {
   assert(symbol >= 0 && symbol < kNumSymbols);
-  return table_[static_cast<std::size_t>(symbol)];
+  return kTable[static_cast<std::size_t>(symbol)];
 }
 
 bool ChipCodebook::Chip(int symbol, int i) const {
@@ -66,7 +66,7 @@ int ChipCodebook::DecodeHard(ChipWord received, int* distance) const {
   int best_symbol = 0;
   int best_distance = std::numeric_limits<int>::max();
   for (int s = 0; s < kNumSymbols; ++s) {
-    const int d = ChipHamming(received, table_[static_cast<std::size_t>(s)]);
+    const int d = ChipHamming(received, kTable[static_cast<std::size_t>(s)]);
     if (d < best_distance) {
       best_distance = d;
       best_symbol = s;
@@ -82,7 +82,7 @@ int ChipCodebook::DecodeSoft(const std::array<double, kChipsPerSymbol>& soft,
   double second = -std::numeric_limits<double>::infinity();
   int best_symbol = 0;
   for (int s = 0; s < kNumSymbols; ++s) {
-    const ChipWord cw = table_[static_cast<std::size_t>(s)];
+    const ChipWord cw = kTable[static_cast<std::size_t>(s)];
     double corr = 0.0;
     for (int i = 0; i < kChipsPerSymbol; ++i) {
       const double level = ((cw >> i) & 1u) ? 1.0 : -1.0;
@@ -105,8 +105,8 @@ int ChipCodebook::MinPairwiseDistance() const {
   int min_d = kChipsPerSymbol;
   for (int a = 0; a < kNumSymbols; ++a) {
     for (int b = a + 1; b < kNumSymbols; ++b) {
-      min_d = std::min(min_d, ChipHamming(table_[static_cast<std::size_t>(a)],
-                                          table_[static_cast<std::size_t>(b)]));
+      min_d = std::min(min_d, ChipHamming(kTable[static_cast<std::size_t>(a)],
+                                          kTable[static_cast<std::size_t>(b)]));
     }
   }
   return min_d;

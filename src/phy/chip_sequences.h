@@ -24,12 +24,11 @@ inline constexpr int kNumSymbols = 16;      // 2^b
 // 0/1; on air a chip c maps to the antipodal level 2c - 1.
 using ChipWord = std::uint32_t;
 
-// Accessor for the 802.15.4 codebook. The table is built once and
-// shared; the class is cheap to copy (it only references the table).
+// Accessor for the 802.15.4 codebook. The table is built at compile
+// time and shared; the class holds no state, so it is free to construct
+// and copy.
 class ChipCodebook {
  public:
-  ChipCodebook();
-
   // The 32-chip codeword for a 4-bit symbol value in [0, 16).
   ChipWord Codeword(int symbol) const;
 
@@ -57,9 +56,6 @@ class ChipCodebook {
   // Minimum pairwise Hamming distance over all distinct codeword pairs;
   // a property of the codebook used to reason about hint quality.
   int MinPairwiseDistance() const;
-
- private:
-  std::array<ChipWord, kNumSymbols> table_;
 };
 
 // Hamming distance between two packed chip words.

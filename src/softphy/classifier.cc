@@ -1,7 +1,5 @@
 #include "softphy/classifier.h"
 
-#include <algorithm>
-
 namespace ppr::softphy {
 
 ThresholdClassifier::ThresholdClassifier(double eta) : eta_(eta) {}
@@ -17,56 +15,6 @@ std::vector<bool> ThresholdClassifier::Label(
     labels[i] = IsGood(symbols[i]);
   }
   return labels;
-}
-
-AdaptiveThresholdClassifier::AdaptiveThresholdClassifier(const Config& config)
-    : config_(config), eta_(config.initial_eta) {}
-
-bool AdaptiveThresholdClassifier::IsGood(
-    const phy::DecodedSymbol& symbol) const {
-  return symbol.hint <= eta_;
-}
-
-std::vector<bool> AdaptiveThresholdClassifier::Label(
-    const std::vector<phy::DecodedSymbol>& symbols) const {
-  std::vector<bool> labels(symbols.size());
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    labels[i] = IsGood(symbols[i]);
-  }
-  return labels;
-}
-
-void AdaptiveThresholdClassifier::Observe(bool labeled_good,
-                                          bool actually_correct) {
-  if (actually_correct) {
-    ++correct_;
-    if (!labeled_good) ++false_alarms_;
-  } else {
-    ++incorrect_;
-    if (labeled_good) ++misses_;
-  }
-  if (++seen_ < config_.batch) return;
-
-  // One adjustment per batch: raising eta lowers the false-alarm rate
-  // (fewer correct codewords labeled bad) at the cost of more misses;
-  // lowering it does the opposite. Move eta one step toward the target.
-  const double fa = ObservedFalseAlarmRate();
-  if (fa > config_.target_false_alarm) {
-    eta_ = std::min(config_.max_eta, eta_ + config_.step);
-  } else {
-    eta_ = std::max(config_.min_eta, eta_ - config_.step);
-  }
-  correct_ = false_alarms_ = incorrect_ = misses_ = seen_ = 0;
-}
-
-double AdaptiveThresholdClassifier::ObservedFalseAlarmRate() const {
-  if (correct_ == 0) return 0.0;
-  return static_cast<double>(false_alarms_) / static_cast<double>(correct_);
-}
-
-double AdaptiveThresholdClassifier::ObservedMissRate() const {
-  if (incorrect_ == 0) return 0.0;
-  return static_cast<double>(misses_) / static_cast<double>(incorrect_);
 }
 
 }  // namespace ppr::softphy

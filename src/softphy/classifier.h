@@ -1,11 +1,9 @@
 // SoftPHY hint interpretation (sections 3.2 and 3.3): a threshold rule
-// labels each decoded codeword "good" (hint <= eta) or "bad", plus an
-// adaptive variant that tunes eta from observed outcomes while relying
+// labels each decoded codeword "good" (hint <= eta) or "bad", relying
 // only on the monotonicity contract — lower hint always means higher
 // confidence — so higher layers never depend on what the hint *is*.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "phy/despreader.h"
@@ -28,48 +26,6 @@ class ThresholdClassifier {
 
  private:
   double eta_;
-};
-
-// Adapts eta to hold the false-alarm rate near a target while keeping
-// the miss rate low, using only post-facto correctness feedback (e.g.
-// CRC outcomes of delivered runs). The update never inspects hint
-// semantics, only the ordering, per the architectural argument of
-// section 3.3.
-class AdaptiveThresholdClassifier {
- public:
-  struct Config {
-    double initial_eta = kDefaultEta;
-    double min_eta = 0.0;
-    double max_eta = 32.0;
-    double target_false_alarm = 0.005;  // ~5 in 1000 (section 7.4.2)
-    double step = 0.25;                 // eta adjustment per Observe batch
-    std::size_t batch = 256;            // decisions per adjustment
-  };
-
-  explicit AdaptiveThresholdClassifier(const Config& config);
-
-  double eta() const { return eta_; }
-
-  bool IsGood(const phy::DecodedSymbol& symbol) const;
-  std::vector<bool> Label(const std::vector<phy::DecodedSymbol>& symbols) const;
-
-  // Reports ground truth for one previously-labeled codeword: whether it
-  // was labeled good and whether it actually decoded correctly. Every
-  // `batch` observations eta moves toward the false-alarm target.
-  void Observe(bool labeled_good, bool actually_correct);
-
-  double ObservedFalseAlarmRate() const;
-  double ObservedMissRate() const;
-
- private:
-  Config config_;
-  double eta_;
-  // Counters within the current adaptation batch.
-  std::size_t correct_ = 0;
-  std::size_t false_alarms_ = 0;  // correct but labeled bad
-  std::size_t incorrect_ = 0;
-  std::size_t misses_ = 0;        // incorrect but labeled good
-  std::size_t seen_ = 0;
 };
 
 }  // namespace ppr::softphy

@@ -125,20 +125,24 @@ TEST(Gf256DispatchTest, ScalarAlwaysAvailableAndActiveIsAvailable) {
 }
 
 TEST(Gf256DispatchTest, ImplNamesRoundtrip) {
-  for (const GfImpl impl : {GfImpl::kScalar, GfImpl::kSsse3, GfImpl::kAvx2,
-                            GfImpl::kNeon, GfImpl::kGfni, GfImpl::kAvx512}) {
+  for (const GfImpl impl :
+       {GfImpl::kScalar, GfImpl::kAvx2, GfImpl::kNeon, GfImpl::kGfni}) {
     const auto back = GfImplFromName(GfImplName(impl));
     ASSERT_TRUE(back.has_value());
     EXPECT_EQ(*back, impl);
   }
   EXPECT_FALSE(GfImplFromName("pshufb").has_value());
   EXPECT_FALSE(GfImplFromName("").has_value());
+  // Names of deleted backends must not resolve, so a stale
+  // PPR_GF256_FORCE_IMPL pin aborts instead of picking a kernel.
+  EXPECT_FALSE(GfImplFromName("ssse3").has_value());
+  EXPECT_FALSE(GfImplFromName("avx512").has_value());
 }
 
 TEST(Gf256DispatchTest, SetImplRejectsUnavailableBackends) {
   const GfImpl before = GfActiveImpl();
-  for (const GfImpl impl : {GfImpl::kScalar, GfImpl::kSsse3, GfImpl::kAvx2,
-                            GfImpl::kNeon, GfImpl::kGfni, GfImpl::kAvx512}) {
+  for (const GfImpl impl :
+       {GfImpl::kScalar, GfImpl::kAvx2, GfImpl::kNeon, GfImpl::kGfni}) {
     if (!GfImplAvailable(impl)) {
       EXPECT_FALSE(GfSetImpl(impl));
       EXPECT_EQ(GfActiveImpl(), before);
@@ -146,11 +150,25 @@ TEST(Gf256DispatchTest, SetImplRejectsUnavailableBackends) {
   }
 }
 
+// Backing store for a misaligned 301-byte span at offset 1. The span's
+// first 256 bytes, which every kernel's vector body covers, are a
+// permutation of all byte values; the rest is random.
+std::vector<std::uint8_t> EveryByteValueBuffer(Rng& rng) {
+  std::vector<std::uint8_t> v(302);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = i >= 1 && i <= 256 ? static_cast<std::uint8_t>((i - 1) * 167 + 13)
+                              : static_cast<std::uint8_t>(rng.UniformInt(256));
+  }
+  return v;
+}
+
 // Every backend must agree byte-for-byte with the table multiply across
 // coef 0/1/random, lengths spanning 0-4 KiB with non-multiple-of-16
 // tails, and deliberately misaligned spans: SIMD kernels use unaligned
 // loads, and the symbol buffers they see in practice carry no alignment
-// guarantee.
+// guarantee. Then every coefficient, over every byte value, checks each
+// backend's per-coefficient setup (the GFNI matrix table, the
+// split-nibble tables, the scalar row) against GfMul.
 TEST(Gf256DispatchTest, AxpyAgreesWithTableMultiplyOnEveryBackend) {
   Rng rng(276);
   const std::size_t lengths[] = {0,  1,  3,   7,   8,    15,   16,  17,
@@ -184,6 +202,22 @@ TEST(Gf256DispatchTest, AxpyAgreesWithTableMultiplyOnEveryBackend) {
         EXPECT_EQ(dst_buf[len + 2], dst_pad[len + 2]) << "overrun";
       }
     }
+    const auto src_buf = EveryByteValueBuffer(rng);
+    const std::span<const std::uint8_t> src(src_buf.data() + 1, 301);
+    for (unsigned coef = 0; coef < 256; ++coef) {
+      std::vector<std::uint8_t> dst_buf(302);
+      for (auto& b : dst_buf) {
+        b = static_cast<std::uint8_t>(rng.UniformInt(256));
+      }
+      const std::span<std::uint8_t> dst(dst_buf.data() + 1, src.size());
+      std::vector<std::uint8_t> expect(dst.size());
+      for (std::size_t i = 0; i < dst.size(); ++i) {
+        expect[i] = dst[i] ^ GfMul(static_cast<std::uint8_t>(coef), src[i]);
+      }
+      GfAxpy(dst, static_cast<std::uint8_t>(coef), src);
+      EXPECT_TRUE(std::equal(expect.begin(), expect.end(), dst.begin()))
+          << GfImplName(impl) << " coef=" << coef;
+    }
   }
 }
 
@@ -205,6 +239,18 @@ TEST(Gf256DispatchTest, ScaleAgreesWithTableMultiplyOnEveryBackend) {
         EXPECT_EQ(data, expect)
             << GfImplName(impl) << " len=" << len << " coef=" << coef;
       }
+    }
+    const auto values = EveryByteValueBuffer(rng);
+    for (unsigned coef = 0; coef < 256; ++coef) {
+      auto buf = values;
+      const std::span<std::uint8_t> data(buf.data() + 1, 301);
+      std::vector<std::uint8_t> expect(data.size());
+      for (std::size_t i = 0; i < data.size(); ++i) {
+        expect[i] = GfMul(static_cast<std::uint8_t>(coef), data[i]);
+      }
+      GfScale(data, static_cast<std::uint8_t>(coef));
+      EXPECT_TRUE(std::equal(expect.begin(), expect.end(), data.begin()))
+          << GfImplName(impl) << " coef=" << coef;
     }
   }
 }

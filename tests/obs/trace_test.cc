@@ -50,7 +50,7 @@ TEST(TracerTest, RecordsInstantAndCompleteEvents) {
 TEST(TracerTest, RingEvictsOldestAndCountsDropped) {
   Tracer tracer(/*capacity=*/4);
   for (int i = 0; i < 10; ++i) {
-    tracer.Instant("e" + std::to_string(i), "test");
+    tracer.Instant(std::string("e") + std::to_string(i), "test");
   }
   EXPECT_EQ(tracer.size(), 4u);
   EXPECT_EQ(tracer.dropped(), 6u);

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "phy/channel.h"
 
 namespace ppr::softphy {
 namespace {
@@ -53,83 +52,6 @@ TEST(ThresholdClassifierTest, MonotoneInEta) {
       EXPECT_TRUE(!lo[i] || hi[i]);  // lo good implies hi good
     }
   }
-}
-
-TEST(AdaptiveThresholdTest, StartsAtInitialEta) {
-  AdaptiveThresholdClassifier::Config config;
-  config.initial_eta = 4.0;
-  const AdaptiveThresholdClassifier c(config);
-  EXPECT_DOUBLE_EQ(c.eta(), 4.0);
-}
-
-TEST(AdaptiveThresholdTest, RaisesEtaWhenFalseAlarmsExceedTarget) {
-  AdaptiveThresholdClassifier::Config config;
-  config.initial_eta = 2.0;
-  config.target_false_alarm = 0.01;
-  config.batch = 100;
-  AdaptiveThresholdClassifier c(config);
-  // Feed a batch where 20% of correct codewords were labeled bad.
-  for (int i = 0; i < 100; ++i) {
-    c.Observe(/*labeled_good=*/i % 5 != 0, /*actually_correct=*/true);
-  }
-  EXPECT_GT(c.eta(), 2.0);
-}
-
-TEST(AdaptiveThresholdTest, LowersEtaWhenFalseAlarmsBelowTarget) {
-  AdaptiveThresholdClassifier::Config config;
-  config.initial_eta = 10.0;
-  config.target_false_alarm = 0.05;
-  config.batch = 100;
-  AdaptiveThresholdClassifier c(config);
-  for (int i = 0; i < 100; ++i) {
-    c.Observe(/*labeled_good=*/true, /*actually_correct=*/true);
-  }
-  EXPECT_LT(c.eta(), 10.0);
-}
-
-TEST(AdaptiveThresholdTest, RespectsBounds) {
-  AdaptiveThresholdClassifier::Config config;
-  config.initial_eta = 0.5;
-  config.min_eta = 0.0;
-  config.max_eta = 1.0;
-  config.step = 10.0;  // oversized step must clamp
-  config.batch = 10;
-  AdaptiveThresholdClassifier c(config);
-  for (int i = 0; i < 10; ++i) c.Observe(true, true);
-  EXPECT_GE(c.eta(), 0.0);
-  for (int i = 0; i < 10; ++i) c.Observe(false, true);
-  EXPECT_LE(c.eta(), 1.0);
-}
-
-TEST(AdaptiveThresholdTest, ConvergesOnRealisticHintDistribution) {
-  // Drive the adaptive threshold with hints drawn from the real
-  // despreader at a fixed chip error rate; eta should settle somewhere
-  // that keeps the false alarm rate near target without the caller ever
-  // interpreting hint semantics (section 3.3's layering argument).
-  const phy::ChipCodebook cb;
-  Rng rng(112);
-  AdaptiveThresholdClassifier::Config config;
-  config.initial_eta = 16.0;  // deliberately far off
-  config.target_false_alarm = 0.01;
-  config.batch = 512;
-  AdaptiveThresholdClassifier c(config);
-
-  for (int i = 0; i < 20000; ++i) {
-    const auto sym = static_cast<std::uint8_t>(rng.UniformInt(16));
-    const auto received = static_cast<phy::ChipWord>(
-        cb.Codeword(sym) ^ phy::SampleChipErrorMask(rng, 0.04));
-    int distance = 0;
-    const int decoded = cb.DecodeHard(received, &distance);
-    phy::DecodedSymbol d;
-    d.hint = static_cast<double>(distance);
-    const bool labeled_good = c.IsGood(d);
-    c.Observe(labeled_good, decoded == sym);
-  }
-  // At 4% chip error rate nearly all codewords decode correctly with
-  // distance <= 4; eta must have come down from 16 toward the bulk of
-  // the correct-hint mass.
-  EXPECT_LT(c.eta(), 10.0);
-  EXPECT_GT(c.eta(), 0.5);
 }
 
 }  // namespace
