@@ -24,7 +24,6 @@
 #include "arq/chunking.h"
 #include "arq/feedback.h"
 #include "common/bitvec.h"
-#include "fec/codec.h"
 #include "phy/despreader.h"
 #include "softphy/classifier.h"
 
@@ -50,7 +49,7 @@ enum class RecoveryMode {
   // collided receptions — fully stripped ZigZag symbols as unit
   // equations, unresolved superpositions as two-term cross-cancelled
   // equations — banked under a collision-provenance tag so a poisoned
-  // stripping chain is evicted as a group. Requires CodecKind::kRlnc.
+  // stripping chain is evicted as a group.
   kCollisionResolve,
 };
 
@@ -71,11 +70,6 @@ struct PpArqConfig {
   std::size_t codewords_per_fec_symbol = 16;
   double repair_overhead = 0.25;
   double repair_target_completion = 0.9;
-  // kCodedRepair decode engine: kRlnc (default; dense equations,
-  // Gaussian elimination) or kReedSolomon (indexed parity over
-  // GF(2^16), O(k log k) for large blocks; requires even FEC symbol
-  // bytes and no relay parties — see fec/codec.h).
-  fec::CodecKind fec_codec = fec::CodecKind::kRlnc;
   // kRelayCodedRepair: the relay roster size the session plans for.
   // The destination's feedback wire carries one requested count per
   // repair party (source first, then relay ids 1..relay_parties), and

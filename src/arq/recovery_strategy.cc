@@ -11,7 +11,6 @@
 #include "arq/recovery_session.h"
 #include "common/crc.h"
 #include "fec/coded_repair.h"
-#include "fec/reed_solomon.h"
 #include "fec/rlnc.h"
 
 namespace ppr::arq {
@@ -248,19 +247,7 @@ class CodedRepairSender : public RecoverySender {
         seq_(seq),
         body_bits_(body.size()),
         encoder_(fec::BodyToSymbols(body, config.bits_per_codeword,
-                                    config.codewords_per_fec_symbol)) {
-    if (config.fec_codec == fec::CodecKind::kReedSolomon) {
-      // RS(k, m = k) parity, computed once up front: every later round
-      // streams precomputed symbols instead of paying a per-record
-      // GF(256) combination.
-      rs_.emplace(encoder_.num_source(), encoder_.num_source(),
-                  encoder_.symbol_bytes());
-      for (std::size_t i = 0; i < encoder_.num_source(); ++i) {
-        rs_->SetSource(i, encoder_.source()[i]);
-      }
-      rs_->Finish();
-    }
-  }
+                                    config.codewords_per_fec_symbol)) {}
 
   RepairPlan HandleFeedback(const BitVec& feedback_wire) override {
     RepairPlan plan;
@@ -281,16 +268,6 @@ class CodedRepairSender : public RecoverySender {
         count, encoder_.symbol_bytes() * 8, body_bits_,
         config_.bits_per_codeword, [&](RepairFrame* frame) {
           if (frame) frame->aux = next_seed_;
-          if (rs_.has_value()) {
-            // Seed counter c carries parity index (c - 1) mod m — the
-            // receiver's CodedRepairSession::ConsumeRepair mapping —
-            // so the stream cycles the parity set and a lost index
-            // comes around again.
-            const std::size_t m = rs_->num_parity();
-            const auto parity = rs_->Parity((next_seed_ - 1) % m);
-            ++next_seed_;
-            return BitVec::FromBytes(parity);
-          }
           const fec::RepairSymbol repair = encoder_.MakeRepair(next_seed_);
           ++next_seed_;
           return BitVec::FromBytes(repair.data);
@@ -306,7 +283,6 @@ class CodedRepairSender : public RecoverySender {
   std::uint16_t seq_;
   std::size_t body_bits_;
   fec::RlncEncoder encoder_;
-  std::optional<fec::ReedSolomonEncoder> rs_;
   std::uint32_t next_seed_ = 1;
 };
 
@@ -424,7 +400,7 @@ class CodedReceiverBase : public RecoveryReceiver {
         fec::BodyToSymbols(body_.bits, config_.bits_per_codeword, cps);
     auto labels = body_.Label(cps, config_.eta);
     session_.emplace(std::move(symbols), std::move(labels.good),
-                     std::move(labels.suspicion), config_.fec_codec);
+                     std::move(labels.suspicion));
   }
 
   void TryFinish() {
@@ -494,12 +470,6 @@ class CodedRepairStrategy : public RecoveryStrategy {
       throw std::invalid_argument(
           "CodedRepairStrategy: FEC symbol must be whole octets");
     }
-    if (config.fec_codec == fec::CodecKind::kReedSolomon &&
-        (symbol_bits / 8) % 2 != 0) {
-      throw std::invalid_argument(
-          "CodedRepairStrategy: kReedSolomon needs even FEC symbol bytes "
-          "(16-bit field elements)");
-    }
   }
 
   const char* Name() const override { return "coded-repair"; }
@@ -558,13 +528,6 @@ class CollisionResolveStrategy : public RecoveryStrategy {
     if (symbol_bits == 0 || symbol_bits % 8 != 0) {
       throw std::invalid_argument(
           "CollisionResolveStrategy: FEC symbol must be whole octets");
-    }
-    // Collision equations are arbitrary sparse combinations (unit rows,
-    // two-term XOR rows); only the elimination decoder consumes those.
-    if (config.fec_codec != fec::CodecKind::kRlnc) {
-      throw std::invalid_argument(
-          "CollisionResolveStrategy: collision equations require "
-          "CodecKind::kRlnc");
     }
   }
 
@@ -854,12 +817,6 @@ class RelayCodedStrategy : public RecoveryStrategy {
         config.relay_parties >= fec::kMaxRepairParties - 1) {
       throw std::invalid_argument(
           "RelayCodedStrategy: relay_parties must be in [1, 254]");
-    }
-    // Relay equations are dense masked combinations; an erasure code
-    // cannot consume them (fec/coded_repair.h).
-    if (config.fec_codec != fec::CodecKind::kRlnc) {
-      throw std::invalid_argument(
-          "RelayCodedStrategy: relay repair requires CodecKind::kRlnc");
     }
   }
 

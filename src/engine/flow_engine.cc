@@ -72,12 +72,11 @@ std::size_t SlotBytes(const EngineConfig& config) {
 
 }  // namespace
 
-// Arena-backed dxd Gauss-Jordan solver over a flow's missing columns,
-// speaking the same fec::EquationSink surface as the full decoders.
+// Arena-backed dxd Gauss-Jordan solver over a flow's missing columns.
 // Column i is the flow's i-th missing symbol; rows live in the flow's
 // slot, the work row in engine-lifetime scratch, so ingest allocates
 // nothing.
-class FlowEngine::NativeSolver : public fec::EquationSink {
+class FlowEngine::NativeSolver {
  public:
   NativeSolver(NativeHeader& header, std::byte* slot, FlowEngine& engine)
       : header_(header),
@@ -88,11 +87,9 @@ class FlowEngine::NativeSolver : public fec::EquationSink {
         work_coefs_(engine.solver_coefs_),
         work_data_(engine.solver_data_) {}
 
-  std::size_t equation_width() const override { return header_.missing_count; }
-  std::size_t equation_bytes() const override { return symbol_bytes_; }
-
+  // Banks coefs . missing = data; returns true if the rank increased.
   bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) override {
+                           std::span<const std::uint8_t> data) {
     const std::size_t d = header_.missing_count;
     if (coefs.size() != d || data.size() != symbol_bytes_) {
       throw std::invalid_argument("NativeSolver: equation shape mismatch");
@@ -365,9 +362,8 @@ void FlowEngine::ProcessNativeBatch() {
                          std::span(source + m * sb, sb)});
       }
       fec::GfAxpyN(proj_data_, terms);
-      NativeSolver solver(*header, slot, *this);
-      fec::EquationSink& sink = solver;  // the unified ingest surface
-      sink.ConsumeEquationSpan(proj_coefs_, proj_data_);
+      NativeSolver(*header, slot, *this)
+          .ConsumeEquationSpan(proj_coefs_, proj_data_);
     }
   }
 

@@ -34,8 +34,7 @@
 // out against the destination's correct copies — which, in the
 // erasure model, equal the source's ground truth — so the banked
 // equation projects onto the missing columns only). The per-flow
-// solver speaks fec::EquationSink, the same ingest surface as
-// fec::RlncDecoder and stream::WindowDecoder.
+// solver keeps its pivot rows in the flow's arena slot.
 #pragma once
 
 #include <cstddef>
@@ -46,7 +45,6 @@
 #include "common/event_queue.h"
 #include "engine/arena.h"
 #include "fec/codec.h"
-#include "fec/equation_sink.h"
 #include "fec/reed_solomon.h"
 
 namespace ppr::engine {
@@ -75,7 +73,8 @@ struct EngineConfig {
   // kReedSolomon: max_deficit parity symbols precomputed at spawn
   // (GF(2^16) additive-FFT encode, fec/reed_solomon.h) and stored in
   // the slot — rounds move precomputed bytes only, and decode is the
-  // O(K log K) erasure path. Requires even symbol_bytes.
+  // O(K log K) erasure path. Requires even symbol_bytes. The tree's
+  // only codec switch (fec/codec.h).
   fec::CodecKind codec = fec::CodecKind::kRlnc;
 };
 
@@ -123,7 +122,7 @@ class FlowEngine {
   // half, so a stale handle is detected on pop without a lookup).
   using FlowQueue = EventQueue<std::uint64_t>;
 
-  class NativeSolver;  // arena-backed dxd EquationSink, defined in .cc
+  class NativeSolver;  // arena-backed dxd eliminator, defined in .cc
 
   std::size_t ProcessTick(std::uint64_t tick_time);
   void ProcessNativeBatch();  // consumes batch_items_ (kRlnc)

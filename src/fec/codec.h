@@ -1,16 +1,16 @@
-// Per-flow codec selection: which erasure code a session runs.
+// The flow engine's codec selection (engine::EngineConfig::codec).
 //
 // kRlnc is the default — rateless, dense random combinations, the
-// right shape for small blocks, SoftPHY-labeled partial packets, and
-// relay-masked equations (anything that needs DENSE rows banked and
-// re-eliminated). kReedSolomon is the large-block specialist: a fixed
-// parity budget, systematic framing, and an O(k log k) FFT erasure
-// decode over GF(2^16) (reed_solomon.h) that breaks RLNC's O(k^2)
-// Gaussian-elimination wall — but it only consumes erasures (unit
-// rows), so flows that need dense equations stay on RLNC.
+// right shape for small blocks. kReedSolomon is the large-block
+// specialist: a fixed parity budget, systematic framing, and an
+// O(k log k) FFT erasure decode over GF(2^16) (reed_solomon.h) that
+// breaks RLNC's O(k^2) Gaussian-elimination wall, for the engine's
+// erasure flows. Everything that banks dense rows (PP-ARQ coded
+// repair, relays, collision recovery, the stream session) runs RLNC
+// and has no codec switch.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <string_view>
 
 namespace ppr::fec {
@@ -25,12 +25,6 @@ constexpr std::string_view CodecKindName(CodecKind kind) {
       return "rs";
   }
   return "unknown";
-}
-
-constexpr std::optional<CodecKind> CodecKindFromName(std::string_view name) {
-  if (name == "rlnc") return CodecKind::kRlnc;
-  if (name == "rs") return CodecKind::kReedSolomon;
-  return std::nullopt;
 }
 
 }  // namespace ppr::fec

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -62,38 +63,19 @@ const std::vector<std::vector<std::uint8_t>>& ValidatedBlock(
 
 CodedRepairSession::CodedRepairSession(
     std::vector<std::vector<std::uint8_t>> received, std::vector<bool> good,
-    std::vector<double> suspicion, CodecKind codec)
+    std::vector<double> suspicion)
     : received_(std::move(received)),
       trusted_(std::move(good)),
       suspicion_(std::move(suspicion)),
-      codec_(codec),
       decoder_(ValidatedBlock(received_).size(), received_.front().size()) {
   if (trusted_.size() != received_.size() ||
       suspicion_.size() != received_.size()) {
     throw std::invalid_argument("CodedRepairSession: label shape mismatch");
   }
-  if (codec_ == CodecKind::kReedSolomon) {
-    // RS(k, m = k): the parity budget matches the worst possible
-    // deficit, and the cycling parity index never skips coverage.
-    rs_ = std::make_unique<ReedSolomonDecoder>(
-        received_.size(), received_.size(), received_.front().size());
-    parity_seen_.assign(num_source(), false);
-  }
   Rebuild();
 }
 
 bool CodedRepairSession::ConsumeRepair(const RepairSymbol& repair) {
-  if (rs_) {
-    const std::size_t m = num_source();
-    const std::size_t j = (SeedCounter(repair.seed) % m + m - 1) % m;
-    if (parity_seen_[j]) return false;  // cycling resend of a banked index
-    parity_seen_[j] = true;
-    parity_bank_.emplace_back(j, repair.data);
-    obs::Count("fec.coded.equations.source");
-    const bool rank_up = rs_->AddParitySpan(j, repair.data);
-    if (rank_up) obs::Count("fec.coded.rank_increments");
-    return rank_up;
-  }
   coef_scratch_.resize(num_source());
   RepairCoefficientsInto(repair.seed, coef_scratch_);
   return ConsumeEquationSpan(coef_scratch_, repair.data, /*suspicion=*/0.0,
@@ -114,9 +96,6 @@ bool CodedRepairSession::ConsumeEquationSpan(std::span<const std::uint8_t> coefs
   if (coefs.size() != num_source() || data.size() != symbol_bytes()) {
     throw std::invalid_argument("ConsumeEquation: shape mismatch");
   }
-  // An erasure code cannot consume a dense combination; flows relying
-  // on relay equations select CodecKind::kRlnc.
-  if (rs_) return false;
   BankedEquation eq;
   eq.coefs.assign(coefs.begin(), coefs.end());
   eq.data.assign(data.begin(), data.end());
@@ -141,14 +120,6 @@ std::vector<std::vector<std::uint8_t>> CodedRepairSession::Decode() const {
   assert(CanDecode());
   std::vector<std::vector<std::uint8_t>> out;
   out.reserve(num_source());
-  if (rs_) {
-    rs_->Decode();
-    for (std::size_t i = 0; i < num_source(); ++i) {
-      const auto sym = rs_->Symbol(i);
-      out.emplace_back(sym.begin(), sym.end());
-    }
-    return out;
-  }
   for (std::size_t i = 0; i < num_source(); ++i) {
     const auto sym = decoder_.Symbol(i);
     out.emplace_back(sym.begin(), sym.end());
@@ -228,17 +199,6 @@ std::size_t CodedRepairSession::num_trusted() const {
 
 void CodedRepairSession::Rebuild() {
   obs::Count("fec.coded.rebuilds");
-  if (rs_) {
-    // A distrusted systematic symbol is simply an erasure here: the
-    // replayed basis is the still-trusted rows plus every banked
-    // parity index.
-    rs_->Reset();
-    for (std::size_t i = 0; i < num_source(); ++i) {
-      if (trusted_[i]) rs_->AddSourceSpan(i, received_[i]);
-    }
-    for (const auto& [j, data] : parity_bank_) rs_->AddParitySpan(j, data);
-    return;
-  }
   decoder_.Reset();
   // Span-based replay: the banked rows are borrowed, not copied, and the
   // decoder's Reset() parked its retired pivot rows for reuse, so a

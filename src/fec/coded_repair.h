@@ -17,26 +17,16 @@
 // itself carry a miss; both share one suspicion ordering, so recovery
 // converges even when every systematic row and every relay equation is
 // poisoned: the source's repair stream alone can carry the packet.
-// The session decodes through a per-flow CodecKind: kRlnc (default)
-// banks arbitrary dense equations and eliminates; kReedSolomon treats
-// repairs as indexed parity symbols of a systematic RS(k, k) code over
-// GF(2^16) (fec/reed_solomon.h) — O(k log k) decode for large blocks,
-// at the cost of rejecting dense relay equations (ConsumeEquation
-// returns false) and requiring even symbol_bytes. Eviction still
-// works under RS: a distrusted systematic symbol simply becomes an
-// erasure on rebuild.
+// Decoding is RLNC only: relay-masked and collision-resolved equations
+// are dense rows, which an erasure code cannot bank.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/bitvec.h"
-#include "fec/codec.h"
-#include "fec/reed_solomon.h"
 #include "fec/rlnc.h"
 
 namespace ppr::fec {
@@ -58,31 +48,21 @@ class CodedRepairSession {
   // the SoftPHY labeling (every codeword in the symbol under threshold),
   // and `suspicion` a per-symbol score (higher = less trustworthy; e.g.
   // the worst codeword hint) ordering evictions after a failed verify.
-  // `codec` selects the decode engine; kReedSolomon requires even
-  // symbol_bytes (16-bit field elements) and interprets repair seeds
-  // as parity indices (see ConsumeRepair).
   CodedRepairSession(std::vector<std::vector<std::uint8_t>> received,
-                     std::vector<bool> good, std::vector<double> suspicion,
-                     CodecKind codec = CodecKind::kRlnc);
+                     std::vector<bool> good, std::vector<double> suspicion);
 
   std::size_t num_source() const { return received_.size(); }
   std::size_t symbol_bytes() const { return received_.front().size(); }
-  CodecKind codec() const { return codec_; }
 
   // Independent symbols still needed before decoding is possible.
-  std::size_t Deficit() const {
-    return rs_ ? rs_->Deficit() : num_source() - decoder_.rank();
-  }
+  std::size_t Deficit() const { return num_source() - decoder_.rank(); }
 
-  bool CanDecode() const { return rs_ ? rs_->CanDecode() : decoder_.Complete(); }
+  bool CanDecode() const { return decoder_.Complete(); }
 
   // Banks a (CRC-validated) repair symbol from the source; returns true
   // if it increased the rank. Source equations are correct by
   // construction (the sender combines its own ground-truth bits), so
-  // they are never candidates for eviction. Under kReedSolomon the
-  // seed's in-party counter names the parity index — (counter - 1)
-  // modulo num_source(), matching the sender's cycling emission — and
-  // a re-received parity index is a dedup no-op (false).
+  // they are never candidates for eviction.
   bool ConsumeRepair(const RepairSymbol& repair);
 
   // Banks an arbitrary (CRC-validated) equation: coefs . source = data.
@@ -90,8 +70,6 @@ class CodedRepairSession {
   // copy of the body (an overhearing relay): they pass the wire CRC yet
   // may still encode a SoftPHY miss, so a failed packet verify may
   // distrust them, ordered by `suspicion` alongside the systematic rows.
-  // Under kReedSolomon every call returns false: an erasure code cannot
-  // raise its rank from a dense combination — such flows stay on kRlnc.
   // `party` records provenance (the originating repair party,
   // fec::PartySeed convention: 0 = source, 1+ = relay ids): every
   // evictable equation a relay contributed was computed from the SAME
@@ -123,9 +101,7 @@ class CodedRepairSession {
   std::size_t EvictSuspects();
 
   std::size_t num_trusted() const;
-  std::size_t repairs_banked() const {
-    return rs_ ? parity_bank_.size() : equations_.size();
-  }
+  std::size_t repairs_banked() const { return equations_.size(); }
   // Still-banked (not distrusted) evictable equations from `party`.
   std::size_t equations_from(std::uint8_t party) const;
 
@@ -145,14 +121,7 @@ class CodedRepairSession {
   std::vector<bool> trusted_;
   std::vector<double> suspicion_;
   std::vector<BankedEquation> equations_;
-  CodecKind codec_ = CodecKind::kRlnc;
   RlncDecoder decoder_;
-  // kReedSolomon engine: RS(k, m = k) erasure decoder plus the banked
-  // parity symbols (index, data) the eviction rebuild replays. Null
-  // under kRlnc.
-  std::unique_ptr<ReedSolomonDecoder> rs_;
-  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> parity_bank_;
-  std::vector<bool> parity_seen_;
   std::size_t evict_batch_ = 1;
   // Session-lifetime scratch for seed-expanded repair coefficients;
   // ConsumeRepair reuses it instead of allocating a vector per symbol.

@@ -294,14 +294,6 @@ Gf16 Gf16Div(Gf16 a, Gf16 b) {
   return t.exp_[static_cast<unsigned>(t.log_[a]) + 65535 - t.log_[b]];
 }
 
-bool Gf16SimdActive() {
-#if defined(PPR_GF16_X86)
-  return Avx2Supported();
-#else
-  return false;
-#endif
-}
-
 void Gf16Axpy(std::span<Gf16> dst, Gf16 coef, std::span<const Gf16> src) {
   const std::size_t n = std::min(dst.size(), src.size());
   if (n == 0 || coef == 0) return;
@@ -331,10 +323,6 @@ void Gf16Scale(std::span<Gf16> data, Gf16 coef) {
   }
 #endif
   ScaleScalar(data.data(), coef, data.size());
-}
-
-void Gf16Xor(std::span<Gf16> dst, std::span<const Gf16> src) {
-  XorWords(dst.data(), src.data(), std::min(dst.size(), src.size()));
 }
 
 void Gf16ButterflyFwd(std::span<Gf16> x, std::span<Gf16> y, Gf16 skew) {

@@ -52,19 +52,12 @@ void Gf16Axpy(std::span<Gf16> dst, Gf16 coef, std::span<const Gf16> src);
 // data[i] *= coef, in place.
 void Gf16Scale(std::span<Gf16> data, Gf16 coef);
 
-// dst[i] ^= src[i].
-void Gf16Xor(std::span<Gf16> dst, std::span<const Gf16> src);
-
 // Fused forward FFT butterfly: x ^= skew * y, then y ^= x. skew == 0
 // degenerates to y ^= x.
 void Gf16ButterflyFwd(std::span<Gf16> x, std::span<Gf16> y, Gf16 skew);
 
 // Fused inverse FFT butterfly: y ^= x, then x ^= skew * y.
 void Gf16ButterflyInv(std::span<Gf16> x, std::span<Gf16> y, Gf16 skew);
-
-// True when the span ops dispatch to the AVX2 kernel on this host
-// (bench/README reporting; the scalar path is always available).
-bool Gf16SimdActive();
 
 // Scalar reference implementations, always compiled: the property
 // tests pit the dispatched kernels against these on random spans.

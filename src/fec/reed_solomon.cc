@@ -147,24 +147,6 @@ bool ReedSolomonDecoder::AddParitySpan(std::size_t j,
   return true;
 }
 
-bool ReedSolomonDecoder::ConsumeEquationSpan(
-    std::span<const std::uint8_t> coefs, std::span<const std::uint8_t> data) {
-  if (coefs.size() != k_ + m_ || data.size() != symbol_bytes_) {
-    throw std::invalid_argument("ReedSolomonDecoder: equation shape mismatch");
-  }
-  // Pure erasure code: only unit rows (one symbol received verbatim)
-  // are consumable. A dense combination cannot raise this decoder's
-  // rank — callers needing that route the flow to CodecKind::kRlnc.
-  std::size_t unit = k_ + m_;
-  for (std::size_t i = 0; i < coefs.size(); ++i) {
-    if (coefs[i] == 0) continue;
-    if (coefs[i] != 1 || unit != k_ + m_) return false;
-    unit = i;
-  }
-  if (unit == k_ + m_) return false;
-  return unit < k_ ? AddSourceSpan(unit, data) : AddParitySpan(unit - k_, data);
-}
-
 void ReedSolomonDecoder::Decode() {
   if (!CanDecode()) {
     throw std::logic_error("ReedSolomonDecoder: Decode before CanDecode");

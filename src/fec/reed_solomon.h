@@ -27,12 +27,13 @@
 // convolution over the full 65536-point domain mod 65535, where
 // 65536 === 1 makes the inverse transform normalization-free.
 //
-// Scope: pure erasure code — ConsumeEquationSpan accepts only UNIT
-// rows (this symbol arrived verbatim); dense RLNC-style equations
-// return false. Flows that need dense rows (SoftPHY suspicion,
-// relay-masked equations as primary repair) belong on RLNC; the
-// session layers fall back per CodecKind. symbol_bytes must be even
-// (symbols are arrays of 16-bit field elements).
+// Scope: pure erasure code — the decoder banks source and parity
+// symbols that arrived verbatim, never dense equations. The flow
+// engine runs it for large-block erasure flows (CodecKind::kReedSolomon);
+// PP-ARQ coded repair, relays, collision recovery and the stream
+// session bank dense rows (SoftPHY suspicion, relay masks, window
+// combinations) and run RLNC only. symbol_bytes must be even (symbols
+// are arrays of 16-bit field elements).
 #pragma once
 
 #include <cstddef>
@@ -40,7 +41,6 @@
 #include <span>
 #include <vector>
 
-#include "fec/equation_sink.h"
 #include "fec/gf65536.h"
 
 namespace ppr::fec {
@@ -64,7 +64,6 @@ class ReedSolomonEncoder {
 
   // Computes all m parity symbols in one batch (IFFT + coset FFT).
   void Finish();
-  bool finished() const { return finished_; }
 
   // Parity symbol j; requires Finish().
   std::span<const std::uint8_t> Parity(std::size_t j) const;
@@ -79,7 +78,7 @@ class ReedSolomonEncoder {
   std::vector<Gf16> coset_;  // K x words: P evaluated on [K, 2K)
 };
 
-class ReedSolomonDecoder : public EquationSink {
+class ReedSolomonDecoder {
  public:
   ReedSolomonDecoder(std::size_t k, std::size_t m, std::size_t symbol_bytes);
 
@@ -91,10 +90,6 @@ class ReedSolomonDecoder : public EquationSink {
   bool AddSourceSpan(std::size_t i, std::span<const std::uint8_t> data);
   bool AddParitySpan(std::size_t j, std::span<const std::uint8_t> data);
 
-  std::size_t known_data() const { return known_data_; }
-  std::size_t missing_data() const { return k_ - known_data_; }
-  // Whether source symbol i is known (received or recovered).
-  bool HasSource(std::size_t i) const { return have_.at(i); }
   // Independent symbols still needed before decoding is possible.
   std::size_t Deficit() const {
     const std::size_t have = known_data_ + known_parity_;
@@ -110,14 +105,6 @@ class ReedSolomonDecoder : public EquationSink {
 
   // Source symbol i; requires it known (received or decoded).
   std::span<const std::uint8_t> Symbol(std::size_t i) const;
-
-  // EquationSink: columns [0, k) are source symbols, [k, k + m) parity
-  // symbols. Only unit rows are consumable — a dense row returns false
-  // (callers needing dense ingest use CodecKind::kRlnc).
-  std::size_t equation_width() const override { return k_ + m_; }
-  std::size_t equation_bytes() const override { return symbol_bytes_; }
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) override;
 
   // Back to an empty block with the same shape.
   void Reset();

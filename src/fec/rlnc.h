@@ -26,7 +26,6 @@
 #include <span>
 #include <vector>
 
-#include "fec/equation_sink.h"
 #include "fec/gf256.h"
 
 namespace ppr::fec {
@@ -106,7 +105,7 @@ class RlncEncoder {
   std::vector<std::vector<std::uint8_t>> source_;
 };
 
-class RlncDecoder : public EquationSink {
+class RlncDecoder {
  public:
   RlncDecoder(std::size_t n_source, std::size_t symbol_bytes);
 
@@ -141,14 +140,6 @@ class RlncDecoder : public EquationSink {
   bool AddEquationSpan(std::span<const std::uint8_t> coefs,
                        std::span<const std::uint8_t> data);
 
-  // EquationSink: column i is source symbol i.
-  std::size_t equation_width() const override { return n_source_; }
-  std::size_t equation_bytes() const override { return symbol_bytes_; }
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) override {
-    return AddEquationSpan(coefs, data);
-  }
-
   // Back to rank 0 with the same shape. Pivot row buffers are parked in
   // a spare pool and reused by later insertions — cheaper than
   // reconstructing the decoder when a session rebuilds its elimination
@@ -165,9 +156,6 @@ class RlncDecoder : public EquationSink {
   using Row = std::vector<std::uint8_t>;
 
   std::size_t row_bytes() const { return n_source_ + symbol_bytes_; }
-  std::span<const std::uint8_t> RowCoefs(const Row& row) const {
-    return {row.data(), n_source_};
-  }
 
   // Runs the elimination sweep over the fused work row (work_),
   // inserting the surviving pivot. The shared core of every ingest

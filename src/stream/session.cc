@@ -1,17 +1,12 @@
 #include "stream/session.h"
 
 #include <algorithm>
-#include <cassert>
 #include <deque>
-#include <map>
-#include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "common/crc.h"
 #include "common/event_queue.h"
 #include "common/rng.h"
-#include "fec/reed_solomon.h"
 #include "obs/obs.h"
 #include "stream/delivery_queue.h"
 #include "stream/window.h"
@@ -142,36 +137,9 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
                                     RedundancyController& controller,
                                     const arq::BodyChannel& channel) {
   StreamSessionStats stats;
-  const bool rs_mode = config.codec == fec::CodecKind::kReedSolomon;
-  const std::size_t gen_size = config.rs_generation;
-  if (rs_mode) {
-    fec::RsBlockSize(gen_size, config.rs_parity);  // validates shapes
-    if (config.symbol_bytes % 2 != 0) {
-      throw std::invalid_argument(
-          "stream RS codec requires even symbol_bytes");
-    }
-    if (gen_size == 0 || gen_size > config.window_capacity) {
-      throw std::invalid_argument(
-          "rs_generation must be in [1, window_capacity]");
-    }
-  }
   WindowEncoder encoder(config.window_capacity, config.symbol_bytes);
   WindowDecoder decoder(config.window_capacity, config.symbol_bytes);
   DeliveryQueue queue;
-
-  // Reed-Solomon generation state. The source recomputes a completed
-  // generation's payloads on demand (payloads are a pure function of
-  // (seed, id)), so no per-generation buffering: one reused encoder
-  // plus a parity cache for generations still unacknowledged. The
-  // destination holds one erasure decoder per in-flight generation,
-  // pre-banking virtual zeros for the padded tail of the final one.
-  std::optional<fec::ReedSolomonEncoder> rs_enc;
-  if (rs_mode) {
-    rs_enc.emplace(gen_size, config.rs_parity, config.symbol_bytes);
-  }
-  std::map<std::uint64_t, std::vector<std::vector<std::uint8_t>>> gen_parity;
-  std::map<std::uint64_t, std::uint32_t> gen_parity_next;
-  std::map<std::uint64_t, fec::ReedSolomonDecoder> rs_decs;
   const obs::LabelSet controller_label = {
       {"controller", std::string(controller.name())}};
 
@@ -257,95 +225,7 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
     return in;
   };
 
-  // --- Reed-Solomon generation helpers (rs_mode only) ---
-  // A generation is complete once every one of its ids has been pushed
-  // (the final partial generation completes with the last push; its
-  // tail is zero-padded on both sides).
-  const auto gen_complete = [&](std::uint64_t g) {
-    return (g + 1) * gen_size <= packets_pushed || all_pushed();
-  };
-  const auto parity_for =
-      [&](std::uint64_t g) -> const std::vector<std::vector<std::uint8_t>>& {
-    auto it = gen_parity.find(g);
-    if (it == gen_parity.end()) {
-      rs_enc->Reset();
-      const std::vector<std::uint8_t> zeros(config.symbol_bytes, 0);
-      for (std::size_t i = 0; i < gen_size; ++i) {
-        const SymbolId id = g * gen_size + i;
-        if (id < config.total_packets) {
-          rs_enc->SetSource(i, StreamPayloadForId(config.payload_seed, id,
-                                                  config.symbol_bytes));
-        } else {
-          rs_enc->SetSource(i, zeros);
-        }
-      }
-      rs_enc->Finish();
-      std::vector<std::vector<std::uint8_t>> parity;
-      parity.reserve(config.rs_parity);
-      for (std::size_t j = 0; j < config.rs_parity; ++j) {
-        const auto p = rs_enc->Parity(j);
-        parity.emplace_back(p.begin(), p.end());
-      }
-      it = gen_parity.emplace(g, std::move(parity)).first;
-    }
-    return it->second;
-  };
-  const auto rs_dec_for = [&](std::uint64_t g) -> fec::ReedSolomonDecoder& {
-    auto it = rs_decs.find(g);
-    if (it == rs_decs.end()) {
-      it = rs_decs
-               .try_emplace(g, gen_size, config.rs_parity, config.symbol_bytes)
-               .first;
-      // Virtual zeros for the padded tail of the final generation.
-      const std::vector<std::uint8_t> zeros(config.symbol_bytes, 0);
-      for (std::size_t i = 0; i < gen_size; ++i) {
-        if (g * gen_size + i >= config.total_packets) {
-          it->second.AddSourceSpan(i, zeros);
-        }
-      }
-    }
-    return it->second;
-  };
-  // Runs the generation's erasure decode when it first becomes
-  // possible, feeding recovered symbols into the window decoder.
-  const auto try_rs_decode = [&](std::uint64_t g,
-                                 fec::ReedSolomonDecoder& dec) {
-    if (!dec.CanDecode() || dec.Complete()) return;
-    std::vector<std::size_t> missing;
-    for (std::size_t i = 0; i < gen_size; ++i) {
-      if (!dec.HasSource(i)) missing.push_back(i);
-    }
-    dec.Decode();
-    obs::Count("stream.session.rs_generations_decoded");
-    for (const std::size_t i : missing) {
-      const SymbolId id = g * gen_size + i;
-      if (id < decoder.next_expected()) continue;  // already delivered
-      const auto sym = dec.Symbol(i);
-      decoder.AddSource(id, std::vector<std::uint8_t>(sym.begin(), sym.end()),
-                        /*recovered=*/true);
-    }
-  };
-
   const auto emit_repairs = [&](std::size_t budget) {
-    if (rs_mode) {
-      // Parity of the oldest generation with unacknowledged symbols,
-      // cycling through the rs_parity indices. Nothing to send until
-      // that generation is complete (block-code latency: losses wait
-      // for the generation to fill — bounded by gen_size packets).
-      for (std::size_t i = 0; i < budget && encoder.in_flight() > 0; ++i) {
-        const std::uint64_t g = encoder.first_unacked() / gen_size;
-        if (!gen_complete(g)) break;
-        const std::uint32_t j =
-            gen_parity_next[g]++ % static_cast<std::uint32_t>(config.rs_parity);
-        StreamRepairSymbol repair;
-        repair.first_id = g * gen_size;
-        repair.span = static_cast<std::uint16_t>(gen_size);
-        repair.seed = j;
-        repair.data = parity_for(g)[j];
-        send_frame(EncodeRepairFrame(repair), /*is_repair=*/true);
-      }
-      return;
-    }
     for (std::size_t i = 0; i < budget && encoder.in_flight() > 0; ++i) {
       send_frame(EncodeRepairFrame(encoder.MakeRepair(repair_seed++)),
                  /*is_repair=*/true);
@@ -449,26 +329,6 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
         if (frame.type == kTypeSource) {
           ++dest_source_frames_ok;
           decoder.AddSource(*id, frame.payload);
-          if (rs_mode) {
-            const std::uint64_t g = *id / gen_size;
-            if ((g + 1) * gen_size > decoder.next_expected()) {
-              auto& dec = rs_dec_for(g);
-              dec.AddSourceSpan(*id - g * gen_size, frame.payload);
-              try_rs_decode(g, dec);
-            }
-          }
-        } else if (rs_mode) {
-          // Parity frame: first_id is the generation base, seed the
-          // parity index. Parity for a fully delivered generation is
-          // stale; malformed descriptors are dropped.
-          const std::uint64_t g = *id / gen_size;
-          if (*id == g * gen_size && frame.span == gen_size &&
-              frame.seed < config.rs_parity &&
-              (g + 1) * gen_size > decoder.next_expected()) {
-            auto& dec = rs_dec_for(g);
-            dec.AddParitySpan(frame.seed, frame.payload);
-            try_rs_decode(g, dec);
-          }
         } else {
           StreamRepairSymbol repair;
           repair.first_id = *id;
@@ -478,12 +338,6 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
           decoder.AddRepair(repair);
         }
         release_deliverable();
-        // Generations fully released in order need no decoder state.
-        while (!rs_decs.empty() &&
-               (rs_decs.begin()->first + 1) * gen_size <=
-                   decoder.next_expected()) {
-          rs_decs.erase(rs_decs.begin());
-        }
         break;
       }
 
@@ -524,13 +378,6 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
 
       case EventType::kFeedbackArrival: {
         encoder.Advance(e.cumulative_ack);
-        // Parity for fully acknowledged generations is dead weight.
-        while (!gen_parity.empty() &&
-               (gen_parity.begin()->first + 1) * gen_size <=
-                   encoder.first_unacked()) {
-          gen_parity_next.erase(gen_parity.begin()->first);
-          gen_parity.erase(gen_parity.begin());
-        }
         reported_deficit = e.deficit;
         last_feedback_gen_us = e.generated_at_us;
         // Drop repair-send records old enough that every future

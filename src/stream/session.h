@@ -8,10 +8,12 @@
 // link plus a propagation delay, the destination batches cumulative
 // acknowledgments on a feedback interval, and the redundancy
 // controller is consulted after each source send, on each feedback,
-// and on a periodic tick. Forward frames cross the (lossy) BodyChannel
-// and are erased when their CRC-32 fails; feedback is modeled reliable
-// per the repo convention (short frames, forward-link evaluation), but
-// its bits and latency are charged.
+// and on a periodic tick. Repair frames are seeded RLNC combinations
+// over the live window (stream/window.h): rateless, so any repair helps
+// any loss it spans. Forward frames cross the (lossy) BodyChannel and
+// are erased when their CRC-32 fails; feedback is modeled reliable per
+// the repo convention (short frames, forward-link evaluation), but its
+// bits and latency are charged.
 //
 // Determinism: all randomness comes from the caller's channel and the
 // config seed, timestamps are virtual, and metrics land both in the
@@ -26,7 +28,6 @@
 #include <vector>
 
 #include "arq/link_sim.h"
-#include "fec/codec.h"
 #include "obs/metrics.h"
 #include "stream/redundancy.h"
 #include "stream/stream_ids.h"
@@ -58,21 +59,6 @@ struct StreamSessionConfig {
   // Deterministic payload generator seed (payloads are a pure function
   // of (seed, symbol id); the destination verifies every delivery).
   std::uint64_t payload_seed = 0x5EED;
-
-  // Repair codec. kRlnc (default): every repair frame is a seeded
-  // random combination over the live window — rateless, any repair
-  // helps any loss it spans. kReedSolomon: ids are grouped into fixed
-  // generations of rs_generation consecutive symbols; once a
-  // generation is complete the source streams its precomputed GF(2^16)
-  // RS parity symbols (repair wire reused: first_id = generation base,
-  // span = rs_generation, seed = parity index), and the destination
-  // runs one O(K log K) erasure decoder per generation, feeding
-  // recovered symbols back into the window. Requires even symbol_bytes
-  // and rs_generation <= window_capacity. The final partial generation
-  // is zero-padded on both sides.
-  fec::CodecKind codec = fec::CodecKind::kRlnc;
-  std::size_t rs_generation = 16;
-  std::size_t rs_parity = 8;
 };
 
 struct StreamSessionStats {

@@ -88,8 +88,7 @@ const std::vector<std::uint8_t>& WindowDecoder::KnownData(SymbolId id) const {
   return *known_[Slot(id)];
 }
 
-bool WindowDecoder::AddSource(SymbolId id, std::vector<std::uint8_t> data,
-                              bool recovered) {
+bool WindowDecoder::AddSource(SymbolId id, std::vector<std::uint8_t> data) {
   if (data.size() != symbol_bytes_) {
     throw std::invalid_argument("WindowDecoder::AddSource: size mismatch");
   }
@@ -114,12 +113,12 @@ bool WindowDecoder::AddSource(SymbolId id, std::vector<std::uint8_t> data,
     --rank_;
     row.coefs[col] = 0;
     fec::GfAxpy(row.data, 1, data);
-    SetKnown(id, std::move(data), recovered);
+    SetKnown(id, std::move(data), /*recovered=*/false);
     AddRow(std::move(row.coefs), std::move(row.data));
     ExtractUnitRows(col);
     return true;
   }
-  SetKnown(id, std::move(data), recovered);
+  SetKnown(id, std::move(data), /*recovered=*/false);
   ExtractUnitRows(col);
   return true;
 }
@@ -170,38 +169,6 @@ bool WindowDecoder::AddRepair(const StreamRepairSymbol& repair) {
   fec::GfAxpyN(data, known_terms);
   if (!any_unknown) return false;  // everything already known
   return AddRow(std::move(coefs), std::move(data));
-}
-
-bool WindowDecoder::ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                                        std::span<const std::uint8_t> data) {
-  if (coefs.size() != capacity_ || data.size() != symbol_bytes_) {
-    throw std::invalid_argument("WindowDecoder::ConsumeEquationSpan: shape");
-  }
-  // Window-anchored columns can never reach back before base_, so the
-  // retired-ring staleness cases of AddRepair cannot arise: only the
-  // known-column substitution remains.
-  std::vector<std::uint8_t> row_coefs(capacity_, 0);
-  std::vector<std::uint8_t> row_data(data.begin(), data.end());
-  std::vector<fec::GfTerm> known_terms;
-  bool any_unknown = false;
-  SymbolId end = base_;
-  for (std::size_t i = 0; i < capacity_; ++i) {
-    const std::uint8_t c = coefs[i];
-    if (c == 0) continue;
-    const SymbolId id = base_ + i;
-    end = id + 1;
-    if (Known(id)) {
-      known_terms.push_back({c, KnownData(id)});
-    } else {
-      row_coefs[i] = c;
-      any_unknown = true;
-    }
-  }
-  if (end == base_) return false;  // all-zero equation
-  highest_seen_ = std::max(highest_seen_, end);
-  fec::GfAxpyN(row_data, known_terms);
-  if (!any_unknown) return false;  // everything already known
-  return AddRow(std::move(row_coefs), std::move(row_data));
 }
 
 bool WindowDecoder::AddRow(std::vector<std::uint8_t> coefs,

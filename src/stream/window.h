@@ -1,5 +1,6 @@
 // Sliding-window RLNC for live streams: the continuous counterpart of
-// the per-packet CodedRepairSession round loop.
+// the per-packet CodedRepairSession round loop, and the stream
+// session's only repair code.
 //
 // The source keeps a ring-buffered window of in-flight source symbols
 // keyed by monotonically increasing SymbolIds. Repair symbols are
@@ -9,7 +10,9 @@
 // the window: source symbols land verbatim, repair symbols become
 // equations over the window's still-unknown columns, and incremental
 // Gauss-Jordan elimination recovers losses as soon as enough
-// independent equations span them.
+// independent equations span them. A delivered symbol is "recovered"
+// exactly when elimination produced it; every AddSource symbol arrived
+// verbatim.
 //
 // Window advance never re-eliminates the surviving basis. The decoder
 // substitutes every known symbol out of an equation at ingest (and a
@@ -29,10 +32,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
-#include "fec/equation_sink.h"
 #include "stream/stream_ids.h"
 
 namespace ppr::stream {
@@ -98,7 +99,7 @@ struct DeliverableSymbol {
 
 // Destination side: known-symbol ring plus an equation basis over the
 // window's unknown columns.
-class WindowDecoder : public fec::EquationSink {
+class WindowDecoder {
  public:
   WindowDecoder(std::size_t capacity, std::size_t symbol_bytes);
 
@@ -122,11 +123,8 @@ class WindowDecoder : public fec::EquationSink {
 
   // A source symbol received verbatim (id already expanded). Returns
   // true if it was new information. Frames beyond the window capacity
-  // or older than the retired ring are dropped (false). `recovered`
-  // marks a symbol decoded elsewhere (e.g. the Reed-Solomon generation
-  // path) rather than received, for delivery provenance.
-  bool AddSource(SymbolId id, std::vector<std::uint8_t> data,
-                 bool recovered = false);
+  // or older than the retired ring are dropped (false).
+  bool AddSource(SymbolId id, std::vector<std::uint8_t> data);
 
   // A repair equation; known symbols (delivered ones included, via the
   // retired ring) are substituted out and the remainder joins the
@@ -134,18 +132,6 @@ class WindowDecoder : public fec::EquationSink {
   // entirely known, or reaching back past the retired ring) and
   // repairs overrunning the window return false.
   bool AddRepair(const StreamRepairSymbol& repair);
-
-  // EquationSink: a dense equation anchored at the frontier — coefs[i]
-  // applies to symbol next_expected() + i. Known columns (delivered or
-  // recovered) are substituted out before the remainder joins the
-  // basis, exactly as AddRepair does for seed-expanded equations, so a
-  // driver holding "some EquationSink" (the flow engine, a
-  // collision-recovery listener) feeds the stream decoder the same way
-  // it feeds fec::RlncDecoder. Returns true if the rank increased.
-  std::size_t equation_width() const override { return capacity_; }
-  std::size_t equation_bytes() const override { return symbol_bytes_; }
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) override;
 
   // Pops the known prefix at the frontier, advancing the window. The
   // caller timestamps and releases them (stream/delivery_queue.h).

@@ -1,9 +1,8 @@
-// The span-based EquationSink ingest surface (satellite of the flow
-// engine PR): RlncDecoder's span forms must be bit-equivalent to the
-// owning-vector forms they shadow, reachable polymorphically, and
-// allocation-recycling (Reset parks rows for reuse) must not change
-// decode results.
-#include "fec/equation_sink.h"
+// RlncDecoder's borrowed-span ingest: the span forms must be
+// bit-equivalent to the owning-vector forms they shadow, batch ingest
+// must match serial ingest, and allocation recycling (Reset parks rows
+// for reuse) must not change decode results.
+#include "fec/rlnc.h"
 
 #include <gtest/gtest.h>
 
@@ -11,7 +10,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "fec/rlnc.h"
 
 namespace ppr::fec {
 namespace {
@@ -68,25 +66,6 @@ TEST(EquationSinkTest, SpanIngestMatchesOwningIngest) {
     EXPECT_EQ(Decoded(owning, i), block[i]);
     EXPECT_EQ(Decoded(span, i), block[i]);
   }
-}
-
-// A driver holding only the abstract sink — the flow engine's
-// position — decodes through it.
-TEST(EquationSinkTest, PolymorphicIngestDecodes) {
-  Rng rng(911);
-  const auto block = RandomBlock(rng, 8, 24);
-  const RlncEncoder encoder(block);
-  RlncDecoder decoder(8, 24);
-  EquationSink& sink = decoder;
-  ASSERT_EQ(sink.equation_width(), 8u);
-  ASSERT_EQ(sink.equation_bytes(), 24u);
-  std::vector<std::uint8_t> coefs(sink.equation_width());
-  for (std::uint32_t seed = 1; !decoder.Complete(); ++seed) {
-    const RepairSymbol repair = encoder.MakeRepair(seed);
-    RepairCoefficientsInto(repair.seed, coefs);
-    sink.ConsumeEquationSpan(coefs, repair.data);
-  }
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(Decoded(decoder, i), block[i]);
 }
 
 TEST(EquationSinkTest, AddRepairBatchMatchesSerialAddRepair) {

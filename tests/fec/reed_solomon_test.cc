@@ -1,8 +1,7 @@
 // Reed-Solomon codec properties: encode -> erase -> decode recovers
 // bit-identical payloads across block shapes (including non-powers of
-// two and m > k), at-capacity erasure patterns, the EquationSink
-// unit-row contract, and agreement with RLNC on identical erasure
-// patterns and seeds.
+// two and m > k), at-capacity erasure patterns, and agreement with
+// RLNC on identical erasure patterns and seeds.
 #include "fec/reed_solomon.h"
 
 #include <gtest/gtest.h>
@@ -115,49 +114,6 @@ TEST(ReedSolomonTest, DuplicateAndBadShapesRejected) {
   EXPECT_THROW(ReedSolomonDecoder(4, 2, 7), std::invalid_argument);
   EXPECT_THROW(ReedSolomonEncoder(0, 2, 8), std::invalid_argument);
   EXPECT_THROW(dec.Decode(), std::logic_error);  // CanDecode() false
-}
-
-TEST(ReedSolomonTest, EquationSinkConsumesUnitRowsOnly) {
-  Rng rng(7004);
-  const std::size_t k = 6, m = 3, bytes = 12;
-  const auto block = RandomBlock(rng, k, bytes);
-  ReedSolomonEncoder enc(k, m, bytes);
-  for (std::size_t i = 0; i < k; ++i) enc.SetSource(i, block[i]);
-  enc.Finish();
-
-  ReedSolomonDecoder dec(k, m, bytes);
-  EquationSink& sink = dec;
-  ASSERT_EQ(sink.equation_width(), k + m);
-  ASSERT_EQ(sink.equation_bytes(), bytes);
-
-  std::vector<std::uint8_t> coefs(k + m, 0);
-  // Dense row: rejected, no state change.
-  coefs[0] = 3;
-  coefs[2] = 7;
-  EXPECT_FALSE(sink.ConsumeEquationSpan(coefs, block[0]));
-  // Scaled unit row: also rejected (an erasure code consumes verbatim
-  // symbols, not multiples).
-  std::fill(coefs.begin(), coefs.end(), 0);
-  coefs[1] = 5;
-  EXPECT_FALSE(sink.ConsumeEquationSpan(coefs, block[1]));
-  EXPECT_EQ(dec.known_data(), 0u);
-
-  // Unit source rows and unit parity rows are consumed.
-  for (std::size_t i = 2; i < k; ++i) {
-    std::fill(coefs.begin(), coefs.end(), 0);
-    coefs[i] = 1;
-    EXPECT_TRUE(sink.ConsumeEquationSpan(coefs, block[i]));
-  }
-  for (std::size_t j = 0; j < 2; ++j) {
-    std::fill(coefs.begin(), coefs.end(), 0);
-    coefs[k + j] = 1;
-    EXPECT_TRUE(sink.ConsumeEquationSpan(coefs, enc.Parity(j)));
-  }
-  ASSERT_TRUE(dec.CanDecode());
-  dec.Decode();
-  for (std::size_t i = 0; i < k; ++i) {
-    EXPECT_EQ(ToVec(dec.Symbol(i)), block[i]);
-  }
 }
 
 // RS and RLNC on identical erasure patterns and repair budgets must

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <stdexcept>
 #include <string>
 
 #include "common/bitvec.h"
@@ -134,52 +133,6 @@ TEST(StreamSessionTest, BackpressureEngagesWhenWindowOutrunsAcks) {
   EXPECT_EQ(stats.payload_mismatches, 0u);
 }
 
-StreamSessionConfig RsConfig() {
-  StreamSessionConfig config = SmallConfig();
-  config.codec = fec::CodecKind::kReedSolomon;
-  config.rs_generation = 8;
-  config.rs_parity = 4;
-  return config;
-}
-
-TEST(StreamSessionTest, ReedSolomonCleanChannelSendsNoParity) {
-  const auto config = RsConfig();
-  const auto controller = MakeAckDeficitController();
-  const auto stats = RunStreamSession(config, *controller, CleanChannel());
-  EXPECT_EQ(stats.delivered, config.total_packets);
-  EXPECT_EQ(stats.recovered, 0u);
-  EXPECT_EQ(stats.repair_sent, 0u);
-  EXPECT_EQ(stats.payload_mismatches, 0u);
-}
-
-TEST(StreamSessionTest, ReedSolomonGenerationsRecoverLossyStream) {
-  const auto config = RsConfig();
-  const auto controller = MakeAckDeficitController();
-  const auto stats =
-      RunStreamSession(config, *controller, PeriodicErasureChannel(5));
-  EXPECT_EQ(stats.delivered, config.total_packets);
-  EXPECT_EQ(stats.undelivered, 0u);
-  EXPECT_GT(stats.recovered, 0u);
-  EXPECT_GT(stats.repair_sent, 0u);
-  EXPECT_EQ(stats.payload_mismatches, 0u);
-}
-
-TEST(StreamSessionTest, ReedSolomonIsDeterministicAcrossRuns) {
-  const auto config = RsConfig();
-  const auto run = [&] {
-    const auto controller = MakeAckDeficitController();
-    return RunStreamSession(config, *controller, PeriodicErasureChannel(4));
-  };
-  const auto a = run();
-  const auto b = run();
-  EXPECT_EQ(a.delivered, b.delivered);
-  EXPECT_EQ(a.recovered, b.recovered);
-  EXPECT_EQ(a.repair_sent, b.repair_sent);
-  EXPECT_EQ(a.repair_bits, b.repair_bits);
-  EXPECT_EQ(a.finished_at_us, b.finished_at_us);
-  EXPECT_EQ(a.latency_us, b.latency_us);
-}
-
 // A perfect channel that rewrites the first repair frame the source
 // sends and re-seals its CRC-32, so the destination receives a
 // CRC-valid frame it must reject: kUndefinedType turns it into a
@@ -216,22 +169,18 @@ arq::BodyChannel TamperFirstRepairChannel(Tamper tamper,
 // nothing, is dropped and counted as lost like a CRC failure; it must
 // not reach the decoders.
 TEST(StreamSessionTest, MalformedCrcValidFrameCountsAsLost) {
-  for (const auto codec : {fec::CodecKind::kRlnc, fec::CodecKind::kReedSolomon}) {
-    for (const auto tamper : {Tamper::kUndefinedType, Tamper::kZeroSpan}) {
-      const StreamSessionConfig config =
-          codec == fec::CodecKind::kRlnc ? SmallConfig() : RsConfig();
-      const auto controller = MakeFixedRateController();
-      const auto stats = RunStreamSession(
-          config, *controller,
-          TamperFirstRepairChannel(tamper, config.symbol_bytes));
-      const auto label = std::string(fec::CodecKindName(codec)) +
-                         (tamper == Tamper::kZeroSpan ? "/zero-span"
-                                                      : "/undefined-type");
-      EXPECT_EQ(stats.delivered, config.total_packets) << label;
-      EXPECT_EQ(stats.payload_mismatches, 0u) << label;
-      EXPECT_EQ(stats.source_frames_lost, 0u) << label;
-      EXPECT_EQ(stats.repair_frames_lost, 1u) << label;
-    }
+  for (const auto tamper : {Tamper::kUndefinedType, Tamper::kZeroSpan}) {
+    const StreamSessionConfig config = SmallConfig();
+    const auto controller = MakeFixedRateController();
+    const auto stats = RunStreamSession(
+        config, *controller,
+        TamperFirstRepairChannel(tamper, config.symbol_bytes));
+    const std::string label =
+        tamper == Tamper::kZeroSpan ? "zero-span" : "undefined-type";
+    EXPECT_EQ(stats.delivered, config.total_packets) << label;
+    EXPECT_EQ(stats.payload_mismatches, 0u) << label;
+    EXPECT_EQ(stats.source_frames_lost, 0u) << label;
+    EXPECT_EQ(stats.repair_frames_lost, 1u) << label;
   }
 }
 
@@ -265,23 +214,19 @@ std::uint32_t StatsCrc(const StreamSessionStats& s) {
   return Crc32Bits(transcript);
 }
 
-// Golden pins for the session's event loop: each controller under
-// both codecs on a seeded Gilbert-Elliott channel. The determinism
-// tests above compare two runs of one build; these constants also
-// catch a trajectory that changes from one version to the next.
-TEST(StreamSessionTest, GoldenTrajectoriesPerControllerAndCodec) {
+// Golden pins for the session's event loop: each controller on a
+// seeded Gilbert-Elliott channel. The determinism tests above compare
+// two runs of one build; these constants also catch a trajectory that
+// changes from one version to the next.
+TEST(StreamSessionTest, GoldenTrajectoriesPerController) {
   struct Pinned {
     ControllerKind controller;
-    fec::CodecKind codec;
     std::uint32_t crc;
   };
   const Pinned pinned[] = {
-      {ControllerKind::kFixedRate, fec::CodecKind::kRlnc, 0x524A944Fu},
-      {ControllerKind::kAckDeficit, fec::CodecKind::kRlnc, 0xB17E300Eu},
-      {ControllerKind::kDeadline, fec::CodecKind::kRlnc, 0x050A38FCu},
-      {ControllerKind::kFixedRate, fec::CodecKind::kReedSolomon, 0x0631C7B6u},
-      {ControllerKind::kAckDeficit, fec::CodecKind::kReedSolomon, 0x602AA9AEu},
-      {ControllerKind::kDeadline, fec::CodecKind::kReedSolomon, 0x045DE08Du},
+      {ControllerKind::kFixedRate, 0x524A944Fu},
+      {ControllerKind::kAckDeficit, 0xB17E300Eu},
+      {ControllerKind::kDeadline, 0x050A38FCu},
   };
   const phy::ChipCodebook codebook;
   arq::GilbertElliottParams params;
@@ -290,8 +235,7 @@ TEST(StreamSessionTest, GoldenTrajectoriesPerControllerAndCodec) {
   params.chip_error_good = 0.001;
   params.chip_error_bad = 0.25;
   for (const Pinned& pin : pinned) {
-    StreamSessionConfig config =
-        pin.codec == fec::CodecKind::kRlnc ? SmallConfig() : RsConfig();
+    StreamSessionConfig config = SmallConfig();
     // Feedback slow enough that the deadline controller's protect
     // bursts fire, so its trajectory differs from ack-deficit's.
     config.feedback_interval_us = 20'000;
@@ -299,30 +243,13 @@ TEST(StreamSessionTest, GoldenTrajectoriesPerControllerAndCodec) {
     const auto channel = arq::MakeGilbertElliottChannel(codebook, params, rng);
     const auto controller = MakeController(pin.controller);
     const auto stats = RunStreamSession(config, *controller, channel);
-    const auto label = std::string(ControllerKindName(pin.controller)) + "/" +
-                       std::string(fec::CodecKindName(pin.codec));
+    const std::string label(ControllerKindName(pin.controller));
     EXPECT_EQ(stats.delivered, config.total_packets) << label;
     EXPECT_EQ(stats.payload_mismatches, 0u) << label;
     EXPECT_GT(stats.source_frames_lost, 0u) << label;
     EXPECT_GT(stats.recovered, 0u) << label;
     EXPECT_EQ(StatsCrc(stats), pin.crc)
         << label << " got 0x" << std::hex << StatsCrc(stats);
-  }
-}
-
-TEST(StreamSessionTest, ReedSolomonRejectsBadShapes) {
-  const auto controller = MakeAckDeficitController();
-  {
-    auto config = RsConfig();
-    config.symbol_bytes = 15;  // odd: GF(2^16) symbols are 2-byte words
-    EXPECT_THROW(RunStreamSession(config, *controller, CleanChannel()),
-                 std::invalid_argument);
-  }
-  {
-    auto config = RsConfig();
-    config.rs_generation = config.window_capacity + 1;
-    EXPECT_THROW(RunStreamSession(config, *controller, CleanChannel()),
-                 std::invalid_argument);
   }
 }
 
