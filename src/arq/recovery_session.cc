@@ -8,97 +8,6 @@
 #include "obs/obs.h"
 
 namespace ppr::arq {
-namespace {
-
-// Adapters: any duplex RecoverySender/RecoveryReceiver pair runs as a
-// two-party session. The sender answers each feedback with exactly one
-// repair message (even when the plan is empty), preserving the duplex
-// loop's per-round accounting.
-class SenderParticipant : public RecoveryParticipant {
- public:
-  explicit SenderParticipant(std::unique_ptr<RecoverySender> sender)
-      : sender_(std::move(sender)) {}
-
-  PartyRole role() const override { return PartyRole::kSource; }
-
-  void IngestInitial(const std::vector<phy::DecodedSymbol>&) override {
-    // The source owns the original bits; its own transmission carries no
-    // information for it.
-  }
-
-  std::vector<SessionMessage> HandleMessage(
-      const DeliveredMessage& msg) override {
-    if (msg.type != SessionMessageType::kFeedback) return {};
-    RepairPlan plan = sender_->HandleFeedback(msg.feedback_wire);
-    SessionMessage reply;
-    reply.type = SessionMessageType::kRepair;
-    reply.to = msg.from;
-    reply.frames = std::move(plan.frames);
-    reply.wire_bits = plan.wire_bits;
-    return {std::move(reply)};
-  }
-
- private:
-  std::unique_ptr<RecoverySender> sender_;
-};
-
-class ReceiverParticipant : public DestinationParticipant {
- public:
-  explicit ReceiverParticipant(std::unique_ptr<RecoveryReceiver> receiver)
-      : receiver_(std::move(receiver)) {}
-
-  void IngestInitial(const std::vector<phy::DecodedSymbol>& symbols) override {
-    receiver_->IngestInitial(symbols);
-  }
-
-  std::vector<SessionMessage> StartRound() override {
-    const auto wire = receiver_->BuildFeedbackWire();
-    if (!wire.has_value()) return {};
-    SessionMessage fb;
-    fb.type = SessionMessageType::kFeedback;
-    fb.to = kBroadcastId;
-    fb.feedback_wire = *wire;
-    fb.wire_bits = wire->size();
-    return {std::move(fb)};
-  }
-
-  std::vector<SessionMessage> HandleMessage(
-      const DeliveredMessage& msg) override {
-    if (msg.type == SessionMessageType::kRepair) {
-      receiver_->IngestRepair(msg.frames);
-    }
-    return {};
-  }
-
-  bool Complete() const override { return receiver_->Complete(); }
-  BitVec AssembledPayload() const override {
-    return receiver_->AssembledPayload();
-  }
-  std::size_t rounds() const override { return receiver_->rounds(); }
-
- private:
-  std::unique_ptr<RecoveryReceiver> receiver_;
-};
-
-}  // namespace
-
-// Default session roles: adapt the duplex pair.
-std::unique_ptr<RecoveryParticipant> RecoveryStrategy::MakeSourceParticipant(
-    const BitVec& body_bits, std::uint16_t seq) const {
-  return std::make_unique<SenderParticipant>(MakeSender(body_bits, seq));
-}
-
-std::unique_ptr<DestinationParticipant>
-RecoveryStrategy::MakeDestinationParticipant(
-    std::uint16_t seq, std::size_t total_codewords) const {
-  return std::make_unique<ReceiverParticipant>(
-      MakeReceiver(seq, total_codewords));
-}
-
-std::unique_ptr<RecoveryParticipant> RecoveryStrategy::MakeRelayParticipant(
-    std::uint8_t, std::uint16_t, std::size_t) const {
-  return nullptr;  // this strategy has no relay role
-}
 
 RecoverySession::RecoverySession(SessionConfig config) {
   for (auto& edge : config.edges) {

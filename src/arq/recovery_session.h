@@ -1,5 +1,5 @@
 // Multi-party recovery session: the message-routed protocol engine that
-// replaced the hard-coded sender/receiver duplex loop.
+// runs every recovery strategy's participants.
 //
 // A session is a set of RecoveryParticipants — one source, one
 // destination, any number of overhearing relays — connected by directed
@@ -16,10 +16,11 @@
 // until the round drains: the source answers feedback with repair, a
 // relay answers with its own repair, the destination ingests both.
 //
-// The two-party configuration reproduces the duplex sender/receiver
-// loop exactly — same channel draw order, same accounting — which is
-// what keeps kChunkRetransmit bit-for-bit identical under the
-// redesign. Any number of relays plug in as additional participants
+// The two-party configuration is the paper's sender/receiver loop: each
+// round one feedback wire, one repair message (one data transmission,
+// even with no frames), its frames crossing the one channel in order.
+// That keeps kChunkRetransmit bit-for-bit identical to the paper's
+// protocol. Any number of relays plug in as additional participants
 // and edges.
 //
 // Relay airtime scheduling (ExOR-style): when a per-round relay

@@ -85,34 +85,59 @@ struct SoftPhyBody {
   }
 };
 
+// The one repair message a source sends in answer to `feedback`,
+// before its frames and airtime are filled in.
+SessionMessage RepairReplyTo(const DeliveredMessage& feedback) {
+  SessionMessage reply;
+  reply.type = SessionMessageType::kRepair;
+  reply.to = feedback.from;
+  return reply;
+}
+
+// A destination's round opener: its feedback, broadcast to every party.
+std::vector<SessionMessage> BroadcastFeedback(BitVec wire) {
+  SessionMessage fb;
+  fb.type = SessionMessageType::kFeedback;
+  fb.to = kBroadcastId;
+  fb.wire_bits = wire.size();
+  fb.feedback_wire = std::move(wire);
+  return {std::move(fb)};
+}
+
 // ------------------------------------------------------------------ chunk
 
-class ChunkRetransmitSender : public RecoverySender {
+class ChunkRetransmitSource : public RecoveryParticipant {
  public:
-  ChunkRetransmitSender(const BitVec& body, std::uint16_t seq,
+  ChunkRetransmitSource(const BitVec& body, std::uint16_t seq,
                         const PpArqConfig& config)
       : config_(config), sender_(body, seq, config) {}
 
-  RepairPlan HandleFeedback(const BitVec& feedback_wire) override {
-    RepairPlan plan;
+  PartyRole role() const override { return PartyRole::kSource; }
+
+  // The source owns the original bits; its own transmission carries no
+  // information for it.
+  void IngestInitial(const std::vector<phy::DecodedSymbol>&) override {}
+
+  std::vector<SessionMessage> HandleMessage(
+      const DeliveredMessage& msg) override {
+    if (msg.type != SessionMessageType::kFeedback) return {};
     const auto decoded =
-        DecodeFeedback(feedback_wire, sender_.total_codewords(),
+        DecodeFeedback(msg.feedback_wire, sender_.total_codewords(),
                        config_.bits_per_codeword, config_.checksum_bits);
     if (!decoded.has_value()) {
-      // Feedback frames are reliable at this layer; an unparsable wire
-      // is a codec bug, not channel damage.
       throw std::logic_error("feedback round-trip failed");
     }
     const RetransmissionPacket retx = sender_.HandleFeedback(*decoded);
-    plan.wire_bits =
+    SessionMessage reply = RepairReplyTo(msg);
+    reply.wire_bits =
         EncodeRetransmission(retx, sender_.total_codewords(),
                              config_.bits_per_codeword)
             .size();
-    plan.frames.reserve(retx.segments.size());
+    reply.frames.reserve(retx.segments.size());
     for (const auto& seg : retx.segments) {
-      plan.frames.push_back(RepairFrame{seg.range, 0, seg.bits});
+      reply.frames.push_back(RepairFrame{seg.range, 0, seg.bits});
     }
-    return plan;
+    return {std::move(reply)};
   }
 
  private:
@@ -120,7 +145,7 @@ class ChunkRetransmitSender : public RecoverySender {
   PpArqSender sender_;
 };
 
-class ChunkRetransmitReceiver : public RecoveryReceiver {
+class ChunkRetransmitReceiver : public DestinationParticipant {
  public:
   ChunkRetransmitReceiver(std::uint16_t seq, std::size_t total_codewords,
                           const PpArqConfig& config)
@@ -130,22 +155,25 @@ class ChunkRetransmitReceiver : public RecoveryReceiver {
     receiver_.IngestInitial(symbols);
   }
 
-  bool Complete() const override { return receiver_.Complete(); }
-
-  std::optional<BitVec> BuildFeedbackWire() override {
+  std::vector<SessionMessage> StartRound() override {
     const auto fb = receiver_.BuildFeedback();
-    if (!fb.has_value()) return std::nullopt;
-    return receiver_.EncodeFeedbackWire(*fb);
+    if (!fb.has_value()) return {};
+    return BroadcastFeedback(receiver_.EncodeFeedbackWire(*fb));
   }
 
-  void IngestRepair(const std::vector<ReceivedRepairFrame>& frames) override {
+  std::vector<SessionMessage> HandleMessage(
+      const DeliveredMessage& msg) override {
+    if (msg.type != SessionMessageType::kRepair) return {};
     std::vector<ReceivedSegment> segments;
-    segments.reserve(frames.size());
-    for (const auto& f : frames) {
+    segments.reserve(msg.frames.size());
+    for (const auto& f : msg.frames) {
       segments.push_back(ReceivedSegment{f.range, f.symbols});
     }
     receiver_.IngestRetransmission(segments);
+    return {};
   }
+
+  bool Complete() const override { return receiver_.Complete(); }
 
   BitVec AssembledPayload() const override {
     return receiver_.AssembledPayload();
@@ -164,12 +192,12 @@ class ChunkRetransmitStrategy : public RecoveryStrategy {
 
   const char* Name() const override { return "chunk-retransmit"; }
 
-  std::unique_ptr<RecoverySender> MakeSender(const BitVec& body_bits,
-                                             std::uint16_t seq) const override {
-    return std::make_unique<ChunkRetransmitSender>(body_bits, seq, config_);
+  std::unique_ptr<RecoveryParticipant> MakeSourceParticipant(
+      const BitVec& body_bits, std::uint16_t seq) const override {
+    return std::make_unique<ChunkRetransmitSource>(body_bits, seq, config_);
   }
 
-  std::unique_ptr<RecoveryReceiver> MakeReceiver(
+  std::unique_ptr<DestinationParticipant> MakeDestinationParticipant(
       std::uint16_t seq, std::size_t total_codewords) const override {
     return std::make_unique<ChunkRetransmitReceiver>(seq, total_codewords,
                                                      config_);
@@ -239,9 +267,9 @@ std::vector<RepairFrame> BatchRepairRecords(std::size_t count,
   return frames;
 }
 
-class CodedRepairSender : public RecoverySender {
+class CodedRepairSource : public RecoveryParticipant {
  public:
-  CodedRepairSender(const BitVec& body, std::uint16_t seq,
+  CodedRepairSource(const BitVec& body, std::uint16_t seq,
                     const PpArqConfig& config)
       : config_(config),
         seq_(seq),
@@ -249,22 +277,30 @@ class CodedRepairSender : public RecoverySender {
         encoder_(fec::BodyToSymbols(body, config.bits_per_codeword,
                                     config.codewords_per_fec_symbol)) {}
 
-  RepairPlan HandleFeedback(const BitVec& feedback_wire) override {
-    RepairPlan plan;
-    const auto fb = DecodeCodedFeedbackWire(feedback_wire);
+  PartyRole role() const override { return PartyRole::kSource; }
+
+  // The source owns the original bits; its own transmission carries no
+  // information for it.
+  void IngestInitial(const std::vector<phy::DecodedSymbol>&) override {}
+
+  std::vector<SessionMessage> HandleMessage(
+      const DeliveredMessage& msg) override {
+    if (msg.type != SessionMessageType::kFeedback) return {};
+    const auto fb = DecodeCodedFeedbackWire(msg.feedback_wire);
     if (!fb.has_value()) {
       throw std::logic_error("coded feedback round-trip failed");
     }
-    plan.wire_bits = kSeqBits + kCountBits;
+    SessionMessage reply = RepairReplyTo(msg);
+    reply.wire_bits = kSeqBits + kCountBits;
     // The source is always party 0 of the wire, however many relay
     // counts follow.
     const std::size_t requested = fb->requested.front();
-    if (fb->seq != seq_ || requested == 0) return plan;
+    if (fb->seq != seq_ || requested == 0) return {std::move(reply)};
     // The receiver sizes its own burst (arq/adaptive_burst.h); the
     // sender obeys, bounded by the shared cap.
     const std::size_t count =
         std::min(requested, MaxRepairBurst(encoder_.num_source()));
-    plan.frames = BatchRepairRecords(
+    reply.frames = BatchRepairRecords(
         count, encoder_.symbol_bytes() * 8, body_bits_,
         config_.bits_per_codeword, [&](RepairFrame* frame) {
           if (frame) frame->aux = next_seed_;
@@ -272,10 +308,10 @@ class CodedRepairSender : public RecoverySender {
           ++next_seed_;
           return BitVec::FromBytes(repair.data);
         });
-    for (const auto& frame : plan.frames) {
-      plan.wire_bits += kSeedBits + frame.bits.size();
+    for (const auto& frame : reply.frames) {
+      reply.wire_bits += kSeedBits + frame.bits.size();
     }
-    return plan;
+    return {std::move(reply)};
   }
 
  private:
@@ -290,7 +326,7 @@ class CodedRepairSender : public RecoverySender {
 // assembly of the initial transmission, the bridge into
 // fec::CodedRepairSession, record parsing, and decode-verify-evict.
 // Subclasses own the feedback wire (how much to request, from whom).
-class CodedReceiverBase : public RecoveryReceiver {
+class CodedReceiverBase : public DestinationParticipant {
  public:
   CodedReceiverBase(std::uint16_t seq, std::size_t total_codewords,
                     const PpArqConfig& config)
@@ -313,21 +349,24 @@ class CodedReceiverBase : public RecoveryReceiver {
     return BodyCrcOk(body_.bits);
   }
 
-  std::optional<BitVec> BuildFeedbackWire() override {
-    if (Complete()) return std::nullopt;
+  std::vector<SessionMessage> StartRound() override {
+    if (Complete()) return {};
     ++rounds_;
     EnsureSession();
     // A decodable-but-wrong basis (pure SoftPHY miss, no erasures) is
     // resolved here: TryFinish evicts suspects, growing the deficit.
     TryFinish();
-    if (Complete()) return std::nullopt;
-    return BuildRequestWire();
+    if (Complete()) return {};
+    return BroadcastFeedback(BuildRequestWire());
   }
 
-  void IngestRepair(const std::vector<ReceivedRepairFrame>& frames) override {
-    if (!session_.has_value() || decoded_ok_) return;
-    for (const auto& f : frames) IngestRepairFrame(f);
+  std::vector<SessionMessage> HandleMessage(
+      const DeliveredMessage& msg) override {
+    if (msg.type != SessionMessageType::kRepair) return {};
+    if (!session_.has_value() || decoded_ok_) return {};
+    for (const auto& f : msg.frames) IngestRepairFrame(f);
     TryFinish();
+    return {};
   }
 
   BitVec AssembledPayload() const override {
@@ -474,12 +513,12 @@ class CodedRepairStrategy : public RecoveryStrategy {
 
   const char* Name() const override { return "coded-repair"; }
 
-  std::unique_ptr<RecoverySender> MakeSender(const BitVec& body_bits,
-                                             std::uint16_t seq) const override {
-    return std::make_unique<CodedRepairSender>(body_bits, seq, config_);
+  std::unique_ptr<RecoveryParticipant> MakeSourceParticipant(
+      const BitVec& body_bits, std::uint16_t seq) const override {
+    return std::make_unique<CodedRepairSource>(body_bits, seq, config_);
   }
 
-  std::unique_ptr<RecoveryReceiver> MakeReceiver(
+  std::unique_ptr<DestinationParticipant> MakeDestinationParticipant(
       std::uint16_t seq, std::size_t total_codewords) const override {
     return std::make_unique<CodedRepairReceiver>(seq, total_codewords,
                                                  config_);
@@ -533,12 +572,12 @@ class CollisionResolveStrategy : public RecoveryStrategy {
 
   const char* Name() const override { return "collision-resolve"; }
 
-  std::unique_ptr<RecoverySender> MakeSender(const BitVec& body_bits,
-                                             std::uint16_t seq) const override {
-    return std::make_unique<CodedRepairSender>(body_bits, seq, config_);
+  std::unique_ptr<RecoveryParticipant> MakeSourceParticipant(
+      const BitVec& body_bits, std::uint16_t seq) const override {
+    return std::make_unique<CodedRepairSource>(body_bits, seq, config_);
   }
 
-  std::unique_ptr<RecoveryReceiver> MakeReceiver(
+  std::unique_ptr<DestinationParticipant> MakeDestinationParticipant(
       std::uint16_t seq, std::size_t total_codewords) const override {
     return std::make_unique<CollisionResolveReceiver>(seq, total_codewords,
                                                       config_);
@@ -743,9 +782,7 @@ class RelayRepairParticipant : public RecoveryParticipant {
     while (count > 0 && burst_cost(count) > msg.relay_budget_bits) --count;
     if (count == 0) return {};  // round budget spent: defer
 
-    SessionMessage reply;
-    reply.type = SessionMessageType::kRepair;
-    reply.to = msg.from;
+    SessionMessage reply = RepairReplyTo(msg);
     BitVec mask;
     for (const bool h : have_) mask.PushBack(h);
     reply.frames = BatchRepairRecords(
@@ -822,15 +859,15 @@ class RelayCodedStrategy : public RecoveryStrategy {
 
   const char* Name() const override { return "relay-coded-repair"; }
 
-  // The source is the coded-repair sender unchanged: its seed counter
+  // The source is the coded-repair source unchanged: its seed counter
   // is party 0's partition, and it parses the leading (seq, requested)
   // fields the relay wire shares with the coded wire.
-  std::unique_ptr<RecoverySender> MakeSender(const BitVec& body_bits,
-                                             std::uint16_t seq) const override {
-    return std::make_unique<CodedRepairSender>(body_bits, seq, config_);
+  std::unique_ptr<RecoveryParticipant> MakeSourceParticipant(
+      const BitVec& body_bits, std::uint16_t seq) const override {
+    return std::make_unique<CodedRepairSource>(body_bits, seq, config_);
   }
 
-  std::unique_ptr<RecoveryReceiver> MakeReceiver(
+  std::unique_ptr<DestinationParticipant> MakeDestinationParticipant(
       std::uint16_t seq, std::size_t total_codewords) const override {
     return std::make_unique<RelayCodedReceiver>(seq, total_codewords, config_);
   }
@@ -887,6 +924,11 @@ std::optional<CodedFeedbackWire> DecodeCodedFeedbackWire(const BitVec& wire) {
                       kCountBits));
   }
   return out;
+}
+
+std::unique_ptr<RecoveryParticipant> RecoveryStrategy::MakeRelayParticipant(
+    std::uint8_t, std::uint16_t, std::size_t) const {
+  return nullptr;  // this strategy has no relay role
 }
 
 std::unique_ptr<RecoveryStrategy> MakeRecoveryStrategy(

@@ -21,16 +21,18 @@
 //     rates, and the session engine schedules relay airtime
 //     (ExOR-style ranking + per-round budget, recovery_session.h).
 //   kCollisionResolve — coded repair composed with the collision
-//     listener (src/collide/): the receiver also implements
+//     listener (src/collide/): the destination also implements
 //     CollisionEquationConsumer, banking equations distilled from
 //     collided receptions into the same decoder session under a
 //     collision provenance tag.
 //
-// All parties of a strategy share a wire format for feedback; the
-// session that runs them (arq/recovery_session.h, two-party or
-// multi-party) only moves opaque bits. Frame
-// descriptors (ranges, coefficient seeds, masks) travel reliably with
-// each repair frame, exactly as chunk-mode segment descriptors do.
+// A strategy builds the session participants directly (source,
+// destination, and relays where it has them). All parties of a
+// strategy share a wire format for feedback; the session that runs
+// them (arq/recovery_session.h, two-party or multi-party) only moves
+// opaque bits. Frame descriptors (ranges, coefficient seeds, masks)
+// travel reliably with each repair frame, exactly as chunk-mode segment
+// descriptors do.
 #pragma once
 
 #include <cstdint>
@@ -67,13 +69,6 @@ struct RepairFrame {
   double suspicion = 0.0;
 };
 
-struct RepairPlan {
-  std::vector<RepairFrame> frames;
-  // Airtime of the whole plan, descriptors included (chunk mode: the
-  // EncodeRetransmission wire size).
-  std::size_t wire_bits = 0;
-};
-
 // A repair frame as decoded at the receiver.
 struct ReceivedRepairFrame {
   ReceivedRepairFrame() = default;
@@ -108,42 +103,12 @@ struct CodedFeedbackWire {
 BitVec EncodeCodedFeedbackWire(const CodedFeedbackWire& feedback);
 std::optional<CodedFeedbackWire> DecodeCodedFeedbackWire(const BitVec& wire);
 
-class RecoverySender {
- public:
-  virtual ~RecoverySender() = default;
-
-  // Builds the repair plan answering one feedback wire. Feedback frames
-  // are reliable at this layer, so an unparsable wire is a codec bug:
-  // implementations throw std::logic_error rather than limping on.
-  virtual RepairPlan HandleFeedback(const BitVec& feedback_wire) = 0;
-};
-
-class RecoveryReceiver {
- public:
-  virtual ~RecoveryReceiver() = default;
-
-  // Initial reception of the whole body, one DecodedSymbol per codeword.
-  virtual void IngestInitial(
-      const std::vector<phy::DecodedSymbol>& symbols) = 0;
-
-  virtual bool Complete() const = 0;
-
-  // Wire feedback for the next round; nullopt once Complete().
-  virtual std::optional<BitVec> BuildFeedbackWire() = 0;
-
-  virtual void IngestRepair(
-      const std::vector<ReceivedRepairFrame>& frames) = 0;
-
-  virtual BitVec AssembledPayload() const = 0;
-
-  virtual std::size_t rounds() const = 0;
-};
-
 // Side door for the collision-resolution listener (src/collide/): a
-// receiver that additionally accepts GF(256) equations distilled from
-// collided receptions. kCollisionResolve receivers implement this
-// alongside RecoveryReceiver; callers discover it by dynamic_cast so
-// the base interface stays untouched for every other strategy.
+// destination that additionally accepts GF(256) equations distilled
+// from collided receptions. kCollisionResolve destinations implement
+// this alongside DestinationParticipant; callers discover it by
+// dynamic_cast so the base interface stays untouched for every other
+// strategy.
 class CollisionEquationConsumer {
  public:
   virtual ~CollisionEquationConsumer() = default;
@@ -156,10 +121,7 @@ class CollisionEquationConsumer {
       const std::vector<collide::CollisionEquation>& equations) = 0;
 };
 
-// Multi-party session roles (arq/recovery_session.h). Every strategy
-// can be driven as a session: the default source/destination
-// participants wrap MakeSender/MakeReceiver, and strategies without a
-// relay role return nullptr from MakeRelayParticipant.
+// The session roles a strategy builds (arq/recovery_session.h).
 class RecoveryParticipant;
 class DestinationParticipant;
 
@@ -170,20 +132,18 @@ class RecoveryStrategy {
 
   virtual const char* Name() const = 0;
 
-  // `body_bits` is payload || CRC-32 (PpArqSender::MakeBody).
-  virtual std::unique_ptr<RecoverySender> MakeSender(
-      const BitVec& body_bits, std::uint16_t seq) const = 0;
-
-  virtual std::unique_ptr<RecoveryReceiver> MakeReceiver(
-      std::uint16_t seq, std::size_t total_codewords) const = 0;
-
-  // Session roles. The defaults (recovery_session.cc) adapt the duplex
-  // pair above, so two-party sessions behave exactly like the legacy
-  // sender/receiver exchange.
+  // The source answers every feedback message with exactly one repair
+  // message, even one with no frames: the session charges one data
+  // transmission per repair message. Feedback frames are reliable at
+  // this layer, so an unparsable wire is a codec bug and the source
+  // throws std::logic_error. `body_bits` is payload || CRC-32
+  // (PpArqSender::MakeBody).
   virtual std::unique_ptr<RecoveryParticipant> MakeSourceParticipant(
-      const BitVec& body_bits, std::uint16_t seq) const;
+      const BitVec& body_bits, std::uint16_t seq) const = 0;
+  // The destination opens each round with its broadcast feedback (none
+  // once complete) and ingests the frames of every repair message.
   virtual std::unique_ptr<DestinationParticipant> MakeDestinationParticipant(
-      std::uint16_t seq, std::size_t total_codewords) const;
+      std::uint16_t seq, std::size_t total_codewords) const = 0;
   // An overhearing relay (relay_id >= 1 keys its repair-seed partition);
   // nullptr when the strategy has no relay role.
   virtual std::unique_ptr<RecoveryParticipant> MakeRelayParticipant(

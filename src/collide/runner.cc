@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "arq/pp_arq.h"
+#include "arq/recovery_session.h"
 #include "obs/obs.h"
 
 namespace ppr::collide {
@@ -27,22 +28,22 @@ CollisionExchangeOutcome RunCollisionRecoveryExchange(
   const CollisionEpisode episode =
       DrawCollisionEpisode(codebook, body, episode_params, episode_rng);
 
-  auto sender = strategy.MakeSender(body, seq);
-  auto receiver =
-      strategy.MakeReceiver(seq, body.size() / config.bits_per_codeword);
+  auto source = strategy.MakeSourceParticipant(body, seq);
+  auto destination = strategy.MakeDestinationParticipant(
+      seq, body.size() / config.bits_per_codeword);
 
   // Both collided copies of A crossed the air whether or not anything
   // is distilled from them, so both legs pay the same initial budget.
   out.totals.data_transmissions = 2;
   out.totals.forward_bits = 2 * body.size();
-  receiver->IngestInitial(InitialSymbolsFromCapture(episode.first));
+  destination->IngestInitial(InitialSymbolsFromCapture(episode.first));
 
   if (resolve) {
     auto* consumer = dynamic_cast<arq::CollisionEquationConsumer*>(
-        receiver.get());
+        destination.get());
     if (consumer == nullptr) {
       throw std::invalid_argument(
-          "RunCollisionRecoveryExchange: strategy's receiver does not "
+          "RunCollisionRecoveryExchange: strategy's destination does not "
           "consume collision equations (use RecoveryMode::kCollisionResolve)");
     }
     CollisionListener listener(listener_config);
@@ -54,31 +55,40 @@ CollisionExchangeOutcome RunCollisionRecoveryExchange(
     obs::Count("collide.rank_gained", out.rank_gained);
   }
 
-  // The standard coded feedback loop finishes the packet.
+  // The standard coded feedback loop finishes the packet: the
+  // destination's feedback reaches the source reliably, and the
+  // source's repair frames cross `repair_channel` in order.
   for (std::size_t round = 0; round < max_rounds; ++round) {
-    const auto feedback = receiver->BuildFeedbackWire();
-    if (!feedback.has_value()) break;
+    const auto opening = destination->StartRound();
+    if (opening.empty()) break;
     ++out.rounds;
-    out.totals.feedback_bits += feedback->size();
-    const arq::RepairPlan plan = sender->HandleFeedback(*feedback);
-    out.totals.forward_bits += plan.wire_bits;
-    if (plan.wire_bits > 0) {
-      out.totals.retransmission_bits.push_back(plan.wire_bits);
+    for (const auto& feedback : opening) {
+      out.totals.feedback_bits += feedback.feedback_wire.size();
+      arq::DeliveredMessage request;
+      request.type = arq::SessionMessageType::kFeedback;
+      request.feedback_wire = feedback.feedback_wire;
+      for (const auto& reply : source->HandleMessage(request)) {
+        out.totals.forward_bits += reply.wire_bits;
+        if (reply.wire_bits > 0) {
+          out.totals.retransmission_bits.push_back(reply.wire_bits);
+        }
+        if (reply.frames.empty()) continue;
+        ++out.totals.data_transmissions;
+        arq::DeliveredMessage repair;
+        repair.type = arq::SessionMessageType::kRepair;
+        repair.frames.reserve(reply.frames.size());
+        for (const auto& f : reply.frames) {
+          arq::ReceivedRepairFrame rf(f.range, f.aux, repair_channel(f.bits));
+          rf.origin = f.origin;
+          rf.coef_mask = f.coef_mask;
+          rf.suspicion = f.suspicion;
+          repair.frames.push_back(std::move(rf));
+        }
+        destination->HandleMessage(repair);
+      }
     }
-    if (plan.frames.empty()) continue;
-    ++out.totals.data_transmissions;
-    std::vector<arq::ReceivedRepairFrame> received;
-    received.reserve(plan.frames.size());
-    for (const auto& f : plan.frames) {
-      arq::ReceivedRepairFrame rf(f.range, f.aux, repair_channel(f.bits));
-      rf.origin = f.origin;
-      rf.coef_mask = f.coef_mask;
-      rf.suspicion = f.suspicion;
-      received.push_back(std::move(rf));
-    }
-    receiver->IngestRepair(received);
   }
-  out.totals.success = receiver->Complete();
+  out.totals.success = destination->Complete();
   return out;
 }
 

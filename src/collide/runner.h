@@ -33,13 +33,17 @@ struct CollisionExchangeOutcome {
 
 // `config.bits_per_codeword` must be 4: captures are 4-bit DSSS
 // nibbles (throws std::invalid_argument otherwise).
-// `strategy` must come from a kCollisionResolve config (its receiver
-// implements CollisionEquationConsumer); `episode_rng` drives every
-// collision draw (seed it from arq::SeedForCollisionRound so runs are
-// schedule-invariant); `repair_channel` carries the repair exchange.
-// Both collided transmissions are charged to the forward budget — the
-// discard and resolve legs pay identical initial airtime, so any
-// repair-bit difference is pure collision-recovery yield.
+// `strategy` must come from a kCollisionResolve config (its
+// destination implements CollisionEquationConsumer); `episode_rng`
+// drives every collision draw (seed it from arq::SeedForCollisionRound
+// so runs are schedule-invariant); `repair_channel` carries the repair
+// exchange. The runner drives the strategy's source and destination
+// participants itself, outside RecoverySession, because its accounting
+// differs from the session's: both collided transmissions are charged
+// to the forward budget (the discard and resolve legs pay identical
+// initial airtime, so any repair-bit difference is pure
+// collision-recovery yield), and a repair message with no frames costs
+// no data transmission.
 CollisionExchangeOutcome RunCollisionRecoveryExchange(
     const BitVec& payload_bits, const arq::PpArqConfig& config,
     const arq::RecoveryStrategy& strategy,

@@ -90,20 +90,6 @@ std::vector<std::pair<double, double>> CdfCollector::CdfPoints(
   return points;
 }
 
-void RunningStats::Add(double value) {
-  ++n_;
-  const double delta = value - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (value - mean_);
-}
-
-double RunningStats::Variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double RunningStats::StdDev() const { return std::sqrt(Variance()); }
-
 void IntHistogram::Add(long key, std::size_t count) {
   buckets_[key] += count;
   total_ += count;

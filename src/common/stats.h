@@ -48,21 +48,6 @@ class CdfCollector {
   mutable bool sorted_valid_ = false;
 };
 
-// Welford running mean/variance; cheap to keep per-link.
-class RunningStats {
- public:
-  void Add(double value);
-  std::size_t Count() const { return n_; }
-  double Mean() const { return mean_; }
-  double Variance() const;
-  double StdDev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-};
-
 // Integer-keyed histogram; used for Hamming-distance distributions where
 // the support is {0..32}.
 class IntHistogram {

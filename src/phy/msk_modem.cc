@@ -56,20 +56,6 @@ MskDemodulator::MskDemodulator(const ModemConfig& config)
   for (double p : pulse_) pulse_energy_ += p * p;
 }
 
-double MskDemodulator::DemodulateChipAt(const SampleVec& samples,
-                                        std::int64_t base_sample,
-                                        bool on_i) const {
-  double acc = 0.0;
-  for (std::size_t m = 0; m < pulse_.size(); ++m) {
-    const std::int64_t idx = base_sample + static_cast<std::int64_t>(m);
-    if (idx < 0) continue;
-    if (idx >= static_cast<std::int64_t>(samples.size())) break;
-    const auto& s = samples[static_cast<std::size_t>(idx)];
-    acc += (on_i ? s.real() : s.imag()) * pulse_[m];
-  }
-  return acc;
-}
-
 Sample MskDemodulator::DemodulateChipComplexAt(const SampleVec& samples,
                                                std::int64_t base_sample) const {
   Sample acc{0.0, 0.0};
@@ -80,33 +66,6 @@ Sample MskDemodulator::DemodulateChipComplexAt(const SampleVec& samples,
     acc += samples[static_cast<std::size_t>(idx)] * pulse_[m];
   }
   return acc;
-}
-
-double MskDemodulator::DemodulateChip(const SampleVec& samples,
-                                      std::size_t start_sample,
-                                      std::size_t chip_index) const {
-  const int sps = config_.samples_per_chip;
-  const std::size_t base =
-      start_sample + chip_index * static_cast<std::size_t>(sps);
-  const bool on_i = (chip_index % 2 == 0);
-  double acc = 0.0;
-  for (std::size_t m = 0; m < pulse_.size(); ++m) {
-    const std::size_t idx = base + m;
-    if (idx >= samples.size()) break;  // zero-padding past the end
-    const double component = on_i ? samples[idx].real() : samples[idx].imag();
-    acc += component * pulse_[m];
-  }
-  return acc;
-}
-
-std::vector<double> MskDemodulator::Demodulate(const SampleVec& samples,
-                                               std::size_t start_sample,
-                                               std::size_t num_chips) const {
-  std::vector<double> soft(num_chips, 0.0);
-  for (std::size_t k = 0; k < num_chips; ++k) {
-    soft[k] = DemodulateChip(samples, start_sample, k);
-  }
-  return soft;
 }
 
 BitVec HardChips(const std::vector<double>& soft_chips) {

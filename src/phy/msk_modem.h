@@ -10,6 +10,7 @@
 
 #include <complex>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/bitvec.h"
@@ -44,38 +45,21 @@ class MskModulator {
   std::vector<double> pulse_;  // half-sine, 2 * samples_per_chip long
 };
 
-// Matched-filter demodulator. Given samples and the sample index where
-// chip 0 begins, produces one soft value per chip: the correlation of the
-// chip's 2*sps window with the half-sine pulse on the chip's channel
-// (real part for even chips, imaginary for odd). Sign is the hard chip
-// decision; magnitude is reliability.
+// Matched-filter demodulator: one chip's soft value is the correlation
+// of its 2*sps window with the half-sine pulse on the chip's channel.
+// The receiver (ppr/receiver_pipeline.h) derotates the complex
+// correlation by its sync-derived carrier-phase estimate and takes the
+// real part for even chips (I) and the imaginary part for odd chips
+// (Q). Sign is the hard chip decision; magnitude is reliability.
 class MskDemodulator {
  public:
   explicit MskDemodulator(const ModemConfig& config);
 
-  // Demodulates `num_chips` chips starting at `start_sample`. Windows
-  // that extend past the end of `samples` are treated as zero-padded
-  // (producing low-confidence soft values), so a truncated reception
-  // still yields a full-length soft chip vector.
-  std::vector<double> Demodulate(const SampleVec& samples,
-                                 std::size_t start_sample,
-                                 std::size_t num_chips) const;
-
-  // Soft value for a single chip window (used by timing search).
-  double DemodulateChip(const SampleVec& samples, std::size_t start_sample,
-                        std::size_t chip_index) const;
-
-  // Soft value for a chip whose pulse begins at (possibly negative)
-  // sample index `base_sample`, on the I channel when `on_i`. Samples
-  // outside the capture contribute zero, so rollback decoding past the
-  // buffered window degrades gracefully instead of failing.
-  double DemodulateChipAt(const SampleVec& samples, std::int64_t base_sample,
-                          bool on_i) const;
-
-  // Complex matched-filter correlation for one chip window; the caller
-  // derotates by its carrier-phase estimate and takes the real or
-  // imaginary part. Used by receivers that perform sync-aided carrier
-  // phase recovery.
+  // Complex matched-filter correlation for the chip whose pulse begins
+  // at (possibly negative) sample index `base_sample`. Samples outside
+  // the capture contribute zero, so a truncated reception or a rollback
+  // past the buffered window degrades to low-confidence soft values
+  // instead of failing.
   Sample DemodulateChipComplexAt(const SampleVec& samples,
                                  std::int64_t base_sample) const;
 

@@ -37,15 +37,6 @@ BitVec RecoveredFrame::PayloadBits() const {
   return bits;
 }
 
-std::vector<phy::DecodedSymbol> RecoveredFrame::ArqBodySymbols() const {
-  const std::size_t first = frame::kHeaderOctets * 2;
-  const std::size_t count =
-      (static_cast<std::size_t>(header.length) + frame::kPayloadCrcOctets) * 2;
-  if (first + count > body_symbols.size()) return {};
-  return {body_symbols.begin() + static_cast<std::ptrdiff_t>(first),
-          body_symbols.begin() + static_cast<std::ptrdiff_t>(first + count)};
-}
-
 FrameModulator::FrameModulator(const phy::ModemConfig& config)
     : modulator_(config) {}
 
@@ -210,61 +201,6 @@ std::vector<RecoveredFrame> ReceiverPipeline::Process(
               return a.frame_start_sample < b.frame_start_sample;
             });
   return frames;
-}
-
-StreamingReceiver::StreamingReceiver(const PipelineConfig& config)
-    : config_(config),
-      pipeline_(config),
-      buffer_([&] {
-        // Hold two maximal frames so a frame completing at "now" is
-        // fully in the buffer alongside the next frame's beginning.
-        const frame::FrameLayout layout(config.max_payload_octets);
-        const std::size_t frame_samples =
-            (layout.TotalChips() + 2) *
-            static_cast<std::size_t>(config.modem.samples_per_chip);
-        return 2 * frame_samples;
-      }()) {}
-
-void StreamingReceiver::Push(const phy::SampleVec& samples) {
-  buffer_.PushAll(samples);
-  Scan(/*final_scan=*/false);
-}
-
-void StreamingReceiver::Flush() { Scan(/*final_scan=*/true); }
-
-void StreamingReceiver::Scan(bool final_scan) {
-  const std::uint64_t first = buffer_.OldestAvailable();
-  const std::uint64_t end = buffer_.EndIndex();
-  if (end <= first) return;
-  const auto window =
-      buffer_.Window(first, static_cast<std::size_t>(end - first));
-  const auto found = pipeline_.Process(window);
-  const std::int64_t sps = config_.modem.samples_per_chip;
-  for (const auto& f : found) {
-    if (!final_scan) {
-      // Defer frames whose tail has not fully arrived; decoding them now
-      // would bake in garbage for the missing samples.
-      const frame::FrameLayout layout(f.header.length);
-      const auto frame_samples =
-          static_cast<std::int64_t>(layout.TotalChips() + 2) * sps;
-      if (f.frame_start_sample + frame_samples >
-          static_cast<std::int64_t>(window.size())) {
-        continue;
-      }
-    }
-    // A frame that began before the window keeps its true start, so it
-    // matches the copy an earlier scan emitted.
-    const std::int64_t absolute =
-        static_cast<std::int64_t>(first) + f.frame_start_sample;
-    const bool seen = std::any_of(
-        frames_.begin(), frames_.end(), [&](const RecoveredFrame& g) {
-          return std::abs(g.frame_start_sample - absolute) <= 4 * sps;
-        });
-    if (seen) continue;
-    RecoveredFrame copy = f;
-    copy.frame_start_sample = absolute;
-    frames_.push_back(std::move(copy));
-  }
 }
 
 }  // namespace ppr::core

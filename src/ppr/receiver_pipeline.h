@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "phy/despreader.h"
 #include "phy/frame_sync.h"
 #include "phy/msk_modem.h"
-#include "phy/sample_buffer.h"
 
 namespace ppr::core {
 
@@ -48,8 +48,6 @@ struct RecoveredFrame {
   // Payload codewords (logical order) and bytes-with-hints access.
   std::vector<phy::DecodedSymbol> PayloadSymbols() const;
   BitVec PayloadBits() const;
-  // Payload || payload-CRC codewords: the PP-ARQ protocol body.
-  std::vector<phy::DecodedSymbol> ArqBodySymbols() const;
 };
 
 // Sender-side helper: frame -> chips -> waveform.
@@ -68,10 +66,12 @@ class FrameModulator {
   phy::MskModulator modulator_;
 };
 
-// Offline (capture-based) receiver: processes a complete sample capture
-// and recovers every frame it can, via preambles first and postambles
-// for anything the preamble path missed. The testbed's GNU Radio
-// receivers are trace-based in the same way (section 7.1).
+// Capture-based receiver and the one receive entry point: the waveform
+// medium behind ppr/link.h, fig13 and the examples all call Process.
+// It processes a complete sample capture and recovers every frame it
+// can, via preambles first and postambles for anything the preamble
+// path missed. The testbed's GNU Radio receivers are trace-based in the
+// same way (section 7.1).
 class ReceiverPipeline {
  public:
   explicit ReceiverPipeline(const PipelineConfig& config);
@@ -106,30 +106,6 @@ class ReceiverPipeline {
   phy::MskDemodulator demod_;
   phy::WaveformCorrelator preamble_correlator_;
   phy::WaveformCorrelator postamble_correlator_;
-};
-
-// Streaming receiver: accepts samples incrementally, keeps a circular
-// buffer sized to one maximal frame (as section 4 prescribes), and
-// emits frames as their sync patterns are observed.
-class StreamingReceiver {
- public:
-  explicit StreamingReceiver(const PipelineConfig& config);
-
-  // Feeds samples; any frames whose sync completes inside the buffered
-  // window are appended to the internal result list.
-  void Push(const phy::SampleVec& samples);
-  // Signals end of capture; scans any unscanned tail.
-  void Flush();
-
-  const std::vector<RecoveredFrame>& Frames() const { return frames_; }
-
- private:
-  void Scan(bool final_scan);
-
-  PipelineConfig config_;
-  ReceiverPipeline pipeline_;
-  phy::SampleRingBuffer buffer_;
-  std::vector<RecoveredFrame> frames_;
 };
 
 }  // namespace ppr::core

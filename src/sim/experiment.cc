@@ -444,32 +444,6 @@ RecoveryExperimentResult RunLinkRecoveryExperiment(
                                    relay_cache);
 }
 
-RecoveryStrategyComparison CompareLinkRecoveryStrategies(
-    const ExperimentConfig& config, const RecoveryExperimentConfig& recovery) {
-  const TestbedTopology topology(config.testbed);
-  const RadioMedium medium(topology.Positions(), config.medium);
-  OverhearingRelayCache relay_cache(medium);
-  const auto run = [&](const RecoveryExperimentConfig& variant) {
-    return RunLinkRecoveryExperiment(config, variant, topology, medium,
-                                     relay_cache);
-  };
-  RecoveryStrategyComparison out;
-  RecoveryExperimentConfig variant = recovery;
-  variant.arq.recovery = arq::RecoveryMode::kChunkRetransmit;
-  out.chunk = run(variant);
-  variant.arq.recovery = arq::RecoveryMode::kCodedRepair;
-  out.coded = run(variant);
-  variant.arq.recovery = arq::RecoveryMode::kRelayCodedRepair;
-  out.relay = run(variant);
-  for (const std::size_t max_relays : recovery.relay_count_sweep) {
-    variant.max_relays = max_relays;
-    out.relay_sweep.emplace_back(max_relays, run(variant));
-  }
-  out.relay_cache_hits = relay_cache.hits();
-  out.relay_cache_misses = relay_cache.misses();
-  return out;
-}
-
 ExperimentConfig MakePaperConfig(double offered_load_bps, bool carrier_sense,
                                  double duration_s, std::uint64_t seed) {
   ExperimentConfig config;

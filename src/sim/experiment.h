@@ -129,10 +129,6 @@ struct RecoveryExperimentConfig {
   // down to two-party when none do). The per-round relay airtime
   // budget rides in arq.relay_airtime_budget_bits.
   std::size_t max_relays = 1;
-  // CompareLinkRecoveryStrategies only: extra kRelayCodedRepair legs,
-  // one per entry, each overriding max_relays (e.g. {1, 2, 4} to study
-  // how repair airtime scales with roster size over identical links).
-  std::vector<std::size_t> relay_count_sweep;
   // How collisions correlate across the source's co-located listeners
   // (the destination and every recruited relay) on each link.
   // kIndependent keeps the legacy private per-hop impairment draws;
@@ -244,24 +240,5 @@ RecoveryExperimentResult RunLinkRecoveryExperiment(
     const ExperimentConfig& config, const RecoveryExperimentConfig& recovery,
     const TestbedTopology& topology, const RadioMedium& medium,
     OverhearingRelayCache& relay_cache);
-
-// Evaluates all three recovery strategies over the identical testbed
-// (same links, same per-link seeds), the whole-testbed counterpart of
-// core::CompareRecoveryStrategies. `recovery.relay_count_sweep` adds
-// further kRelayCodedRepair legs at other roster sizes; every leg
-// shares one OverhearingRelayCache, whose hit/miss counts are
-// reported.
-struct RecoveryStrategyComparison {
-  RecoveryExperimentResult chunk;
-  RecoveryExperimentResult coded;
-  RecoveryExperimentResult relay;  // at recovery.max_relays
-  // One (max_relays, result) per relay_count_sweep entry.
-  std::vector<std::pair<std::size_t, RecoveryExperimentResult>> relay_sweep;
-  std::size_t relay_cache_hits = 0;
-  std::size_t relay_cache_misses = 0;
-};
-
-RecoveryStrategyComparison CompareLinkRecoveryStrategies(
-    const ExperimentConfig& config, const RecoveryExperimentConfig& recovery);
 
 }  // namespace ppr::sim

@@ -68,10 +68,11 @@ std::vector<std::size_t> OverhearingRelays(const RadioMedium& medium,
                                            double min_snr_db);
 
 // Memoizes OverhearingRelays per (sender, receiver, min_snr_db) against
-// one fixed medium, so a strategy sweep that replays the same topology
-// (CompareLinkRecoveryStrategies, relay-count sweeps) computes each
-// link's roster once. Not thread-safe: intended for the serial
-// job-enumeration pass of the experiment runners.
+// one fixed medium, so a sweep that replays the same topology (one
+// prebuilt-topology RunLinkRecoveryExperiment call per strategy or
+// relay count) computes each link's roster once. Not thread-safe:
+// intended for the serial job-enumeration pass of the experiment
+// runners.
 class OverhearingRelayCache {
  public:
   explicit OverhearingRelayCache(const RadioMedium& medium)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "arq/link_sim.h"
+#include "arq/recovery_session.h"
 #include "arq/recovery_strategy.h"
 #include "common/crc.h"
 #include "common/rng.h"
@@ -64,11 +65,11 @@ TEST(RepairDeliveryEstimatorTest, SilenceClampsToFloor) {
 // receiver: a lossy round grows the next burst beyond the deficit,
 // while a clean round converges the request to deficit + 0.
 
-// A receiver with `erased` trailing codewords unusable, so the session
-// opens with a known deficit.
-std::unique_ptr<RecoveryReceiver> ReceiverWithErasures(
+// A destination with `erased` trailing codewords unusable, so the
+// session opens with a known deficit.
+std::unique_ptr<DestinationParticipant> ReceiverWithErasures(
     const PpArqConfig& config, const BitVec& body, std::size_t erased_codewords,
-    std::unique_ptr<RecoveryReceiver> receiver) {
+    std::unique_ptr<DestinationParticipant> receiver) {
   const std::size_t n = body.size() / config.bits_per_codeword;
   std::vector<phy::DecodedSymbol> symbols(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -81,6 +82,21 @@ std::unique_ptr<RecoveryReceiver> ReceiverWithErasures(
   }
   receiver->IngestInitial(symbols);
   return receiver;
+}
+
+// The destination's next feedback wire; nullopt once it stops asking.
+std::optional<BitVec> NextFeedbackWire(DestinationParticipant& receiver) {
+  const auto opening = receiver.StartRound();
+  if (opening.empty()) return std::nullopt;
+  return opening.front().feedback_wire;
+}
+
+void DeliverRepair(DestinationParticipant& receiver,
+                   std::vector<ReceivedRepairFrame> frames) {
+  DeliveredMessage repair;
+  repair.type = SessionMessageType::kRepair;
+  repair.frames = std::move(frames);
+  receiver.HandleMessage(repair);
 }
 
 struct WireRequest {
@@ -106,9 +122,9 @@ TEST(AdaptiveCodedSizingTest, CleanDeliveryConvergesToDeficitPlusZero) {
   // multiple of 16), so 5 of the 21 FEC symbols are unusable.
   auto receiver = ReceiverWithErasures(
       config, body, 4 * config.codewords_per_fec_symbol,
-      strategy->MakeReceiver(1, body.size() / 4));
+      strategy->MakeDestinationParticipant(1, body.size() / 4));
 
-  const auto wire1 = receiver->BuildFeedbackWire();
+  const auto wire1 = NextFeedbackWire(*receiver);
   ASSERT_TRUE(wire1.has_value());
   const auto req1 = ParseRequest(*wire1);
   // Round one runs on the prior (repair_overhead headroom).
@@ -135,9 +151,9 @@ TEST(AdaptiveCodedSizingTest, CleanDeliveryConvergesToDeficitPlusZero) {
     frame.aux = 1;
     frame.symbols = symbols;
   }
-  receiver->IngestRepair(frames);
+  DeliverRepair(*receiver, std::move(frames));
 
-  const auto wire2 = receiver->BuildFeedbackWire();
+  const auto wire2 = NextFeedbackWire(*receiver);
   ASSERT_TRUE(wire2.has_value());
   const auto req2 = ParseRequest(*wire2);
   EXPECT_EQ(req2.count, 4u);  // deficit 5 - 1 rank gained, plus zero
@@ -153,16 +169,16 @@ TEST(AdaptiveCodedSizingTest, LossyDeliveryGrowsTheBurst) {
   const auto strategy = MakeRecoveryStrategy(config);
   auto receiver = ReceiverWithErasures(
       config, body, 4 * config.codewords_per_fec_symbol,
-      strategy->MakeReceiver(1, body.size() / 4));
+      strategy->MakeDestinationParticipant(1, body.size() / 4));
 
-  const auto wire1 = receiver->BuildFeedbackWire();
+  const auto wire1 = NextFeedbackWire(*receiver);
   ASSERT_TRUE(wire1.has_value());
   const auto req1 = ParseRequest(*wire1);
 
   // Every record of round one is lost (the repair frame never decodes);
   // the delivery estimate collapses and the burst must grow.
-  receiver->IngestRepair({});
-  const auto wire2 = receiver->BuildFeedbackWire();
+  DeliverRepair(*receiver, {});
+  const auto wire2 = NextFeedbackWire(*receiver);
   ASSERT_TRUE(wire2.has_value());
   const auto req2 = ParseRequest(*wire2);
   EXPECT_GT(req2.count, req1.count);

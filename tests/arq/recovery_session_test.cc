@@ -106,9 +106,9 @@ TEST(RecoverySessionTest, RejectsSecondDestination) {
 }
 
 // An independent re-implementation of the pre-session duplex loop
-// (sender/receiver driven directly, one channel, frames crossed in plan
-// order), preserved here verbatim so the session engine is compared
-// against the legacy behavior rather than against itself.
+// (source and destination participants driven directly, one channel,
+// frames crossed in reply order), kept here so the session engine is
+// compared against the legacy behavior rather than against itself.
 ArqRunStats LegacyDuplexLoop(const BitVec& payload,
                              const PpArqConfig& config,
                              const RecoveryStrategy& strategy,
@@ -116,37 +116,42 @@ ArqRunStats LegacyDuplexLoop(const BitVec& payload,
                              std::size_t max_rounds = 32) {
   ArqRunStats stats;
   const BitVec body = PpArqSender::MakeBody(payload);
-  auto sender = strategy.MakeSender(body, 1);
-  auto receiver =
-      strategy.MakeReceiver(1, body.size() / config.bits_per_codeword);
+  auto source = strategy.MakeSourceParticipant(body, 1);
+  auto destination = strategy.MakeDestinationParticipant(
+      1, body.size() / config.bits_per_codeword);
   stats.forward_bits += body.size();
   ++stats.data_transmissions;
-  receiver->IngestInitial(channel(body));
+  destination->IngestInitial(channel(body));
   for (std::size_t round = 0; round < max_rounds; ++round) {
-    const auto fb_wire = receiver->BuildFeedbackWire();
-    if (!fb_wire.has_value()) {
+    const auto opening = destination->StartRound();
+    if (opening.empty()) {
       stats.success = true;
       return stats;
     }
-    stats.feedback_bits += fb_wire->size();
-    const RepairPlan plan = sender->HandleFeedback(*fb_wire);
-    stats.forward_bits += plan.wire_bits;
-    stats.retransmission_bits.push_back(plan.wire_bits);
-    ++stats.data_transmissions;
-    std::vector<ReceivedRepairFrame> received;
-    for (const auto& frame : plan.frames) {
-      ReceivedRepairFrame rf;
-      rf.range = frame.range;
-      rf.aux = frame.aux;
-      rf.origin = frame.origin;
-      rf.coef_mask = frame.coef_mask;
-      rf.suspicion = frame.suspicion;
-      rf.symbols = channel(frame.bits);
-      received.push_back(std::move(rf));
+    DeliveredMessage feedback;
+    feedback.type = SessionMessageType::kFeedback;
+    feedback.feedback_wire = opening.front().feedback_wire;
+    stats.feedback_bits += feedback.feedback_wire.size();
+    for (const SessionMessage& plan : source->HandleMessage(feedback)) {
+      stats.forward_bits += plan.wire_bits;
+      stats.retransmission_bits.push_back(plan.wire_bits);
+      ++stats.data_transmissions;
+      DeliveredMessage repair;
+      repair.type = SessionMessageType::kRepair;
+      for (const auto& frame : plan.frames) {
+        ReceivedRepairFrame rf;
+        rf.range = frame.range;
+        rf.aux = frame.aux;
+        rf.origin = frame.origin;
+        rf.coef_mask = frame.coef_mask;
+        rf.suspicion = frame.suspicion;
+        rf.symbols = channel(frame.bits);
+        repair.frames.push_back(std::move(rf));
+      }
+      destination->HandleMessage(repair);
     }
-    receiver->IngestRepair(received);
   }
-  stats.success = receiver->Complete();
+  stats.success = destination->Complete();
   return stats;
 }
 

@@ -26,8 +26,8 @@ GilbertElliottParams BurstyParams() {
   return params;
 }
 
-// Drives one exchange through the strategy interface and returns the
-// receiver's assembled payload alongside the run stats.
+// Drives one exchange through the strategy's two participants and
+// returns the destination's assembled payload alongside the run stats.
 struct Outcome {
   bool success = false;
   BitVec payload;
@@ -45,29 +45,34 @@ Outcome RunExchange(const RecoveryStrategy& strategy,
 
   Outcome out;
   const BitVec body = PpArqSender::MakeBody(payload);
-  auto sender = strategy.MakeSender(body, 1);
-  auto receiver =
-      strategy.MakeReceiver(1, body.size() / config.bits_per_codeword);
+  auto source = strategy.MakeSourceParticipant(body, 1);
+  auto destination = strategy.MakeDestinationParticipant(
+      1, body.size() / config.bits_per_codeword);
   out.stats.forward_bits += body.size();
   ++out.stats.data_transmissions;
-  receiver->IngestInitial(channel(body));
+  destination->IngestInitial(channel(body));
   for (std::size_t round = 0; round < max_rounds; ++round) {
-    const auto fb = receiver->BuildFeedbackWire();
-    if (!fb.has_value()) break;
-    out.stats.feedback_bits += fb->size();
-    const RepairPlan plan = sender->HandleFeedback(*fb);
-    out.stats.forward_bits += plan.wire_bits;
-    out.stats.retransmission_bits.push_back(plan.wire_bits);
-    ++out.stats.data_transmissions;
-    std::vector<ReceivedRepairFrame> received;
-    for (const auto& frame : plan.frames) {
-      received.push_back(
-          ReceivedRepairFrame{frame.range, frame.aux, channel(frame.bits)});
+    const auto opening = destination->StartRound();
+    if (opening.empty()) break;
+    DeliveredMessage feedback;
+    feedback.type = SessionMessageType::kFeedback;
+    feedback.feedback_wire = opening.front().feedback_wire;
+    out.stats.feedback_bits += feedback.feedback_wire.size();
+    for (const SessionMessage& plan : source->HandleMessage(feedback)) {
+      out.stats.forward_bits += plan.wire_bits;
+      out.stats.retransmission_bits.push_back(plan.wire_bits);
+      ++out.stats.data_transmissions;
+      DeliveredMessage repair;
+      repair.type = SessionMessageType::kRepair;
+      for (const auto& frame : plan.frames) {
+        repair.frames.push_back(
+            ReceivedRepairFrame{frame.range, frame.aux, channel(frame.bits)});
+      }
+      destination->HandleMessage(repair);
     }
-    receiver->IngestRepair(received);
   }
-  out.success = receiver->Complete();
-  out.payload = receiver->AssembledPayload();
+  out.success = destination->Complete();
+  out.payload = destination->AssembledPayload();
   return out;
 }
 
@@ -220,11 +225,15 @@ TEST(RecoveryStrategyTest, LargeRepairBurstsSplitIntoBodySizedFrames) {
   const BitVec body = PpArqSender::MakeBody(RandomPayload(prng, 250));
   PpArqConfig config;
   config.recovery = RecoveryMode::kCodedRepair;
-  auto sender = MakeRecoveryStrategy(config)->MakeSender(body, 1);
+  auto source = MakeRecoveryStrategy(config)->MakeSourceParticipant(body, 1);
 
-  const BitVec wire = EncodeCodedFeedbackWire(
+  DeliveredMessage feedback;
+  feedback.type = SessionMessageType::kFeedback;
+  feedback.feedback_wire = EncodeCodedFeedbackWire(
       CodedFeedbackWire{/*seq=*/1, {0xFFFF}});  // deficit: everything (clamped)
-  const auto plan = sender->HandleFeedback(wire);
+  const auto replies = source->HandleMessage(feedback);
+  ASSERT_EQ(replies.size(), 1u);
+  const SessionMessage& plan = replies.front();
   ASSERT_GT(plan.frames.size(), 1u);
   std::size_t total_bits = 0;
   for (const auto& f : plan.frames) {
@@ -242,8 +251,11 @@ TEST(RecoveryStrategyTest, UnparsableFeedbackThrows) {
        {RecoveryMode::kChunkRetransmit, RecoveryMode::kCodedRepair}) {
     PpArqConfig config;
     config.recovery = mode;
-    auto sender = MakeRecoveryStrategy(config)->MakeSender(body, 1);
-    EXPECT_THROW(sender->HandleFeedback(BitVec(8, false)), std::logic_error);
+    auto source = MakeRecoveryStrategy(config)->MakeSourceParticipant(body, 1);
+    DeliveredMessage feedback;
+    feedback.type = SessionMessageType::kFeedback;
+    feedback.feedback_wire = BitVec(8, false);
+    EXPECT_THROW(source->HandleMessage(feedback), std::logic_error);
   }
 }
 

@@ -65,40 +65,6 @@ TEST(CdfCollectorTest, AddCountWeightsSamples) {
   EXPECT_DOUBLE_EQ(cdf.Median(), 1.0);
 }
 
-TEST(RunningStatsTest, MeanAndVariance) {
-  RunningStats rs;
-  for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) rs.Add(x);
-  EXPECT_EQ(rs.Count(), 8u);
-  EXPECT_DOUBLE_EQ(rs.Mean(), 5.0);
-  EXPECT_NEAR(rs.Variance(), 4.571428571, 1e-9);
-}
-
-TEST(RunningStatsTest, SingleSampleHasZeroVariance) {
-  RunningStats rs;
-  rs.Add(42.0);
-  EXPECT_DOUBLE_EQ(rs.Variance(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.StdDev(), 0.0);
-}
-
-TEST(RunningStatsTest, AgreesWithDirectComputation) {
-  Rng rng(4);
-  RunningStats rs;
-  std::vector<double> xs;
-  for (int i = 0; i < 500; ++i) {
-    const double x = rng.Normal(3.0, 2.0);
-    xs.push_back(x);
-    rs.Add(x);
-  }
-  double mean = 0.0;
-  for (double x : xs) mean += x;
-  mean /= xs.size();
-  double var = 0.0;
-  for (double x : xs) var += (x - mean) * (x - mean);
-  var /= (xs.size() - 1);
-  EXPECT_NEAR(rs.Mean(), mean, 1e-9);
-  EXPECT_NEAR(rs.Variance(), var, 1e-9);
-}
-
 TEST(IntHistogramTest, CdfAndCcdf) {
   IntHistogram h;
   h.Add(0, 50);

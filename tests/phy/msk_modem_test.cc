@@ -16,6 +16,23 @@ BitVec RandomChips(Rng& rng, std::size_t n) {
   return chips;
 }
 
+// Soft values of `num_chips` chips, chip 0 at sample 0, through the
+// receiver's demodulation path at zero carrier phase: the complex
+// correlation's real part for even chips (I) and its imaginary part for
+// odd chips (Q), as ReceiverPipeline::DecodeSymbols takes them.
+std::vector<double> DemodulateChips(const MskDemodulator& demod,
+                                    const SampleVec& samples,
+                                    std::size_t num_chips) {
+  const std::int64_t sps = demod.config().samples_per_chip;
+  std::vector<double> soft(num_chips);
+  for (std::size_t k = 0; k < num_chips; ++k) {
+    const Sample c = demod.DemodulateChipComplexAt(
+        samples, static_cast<std::int64_t>(k) * sps);
+    soft[k] = k % 2 == 0 ? c.real() : c.imag();
+  }
+  return soft;
+}
+
 TEST(MskModulatorTest, OutputLength) {
   ModemConfig config;
   config.samples_per_chip = 4;
@@ -87,7 +104,7 @@ TEST(MskDemodTest, CleanRoundTrip) {
   Rng rng(52);
   const BitVec chips = RandomChips(rng, 256);
   const auto wave = mod.Modulate(chips);
-  const auto soft = demod.Demodulate(wave, 0, chips.size());
+  const auto soft = DemodulateChips(demod, wave, chips.size());
   EXPECT_EQ(HardChips(soft), chips);
 }
 
@@ -102,7 +119,7 @@ TEST(MskDemodTest, SoftOutputScale) {
   chips.PushBack(true);
   chips.PushBack(false);
   const auto wave = mod.Modulate(chips);
-  const auto soft = demod.Demodulate(wave, 0, 2);
+  const auto soft = DemodulateChips(demod, wave, 2);
   EXPECT_NEAR(soft[0], 2.0 * demod.PulseEnergy(), 1e-9);
   EXPECT_NEAR(soft[1], -2.0 * demod.PulseEnergy(), 1e-9);
 }
@@ -126,7 +143,7 @@ TEST(MskDemodTest, TruncatedCaptureDegradesGracefully) {
   const BitVec chips = RandomChips(rng, 32);
   auto wave = mod.Modulate(chips);
   wave.resize(wave.size() / 2);  // lose the second half
-  const auto soft = demod.Demodulate(wave, 0, chips.size());
+  const auto soft = DemodulateChips(demod, wave, chips.size());
   ASSERT_EQ(soft.size(), chips.size());
   // Early chips still demodulate; missing chips give ~zero soft values.
   EXPECT_NE(soft.front(), 0.0);
@@ -139,10 +156,10 @@ TEST(MskDemodTest, DemodulateChipAtHandlesNegativeBase) {
   const MskDemodulator demod(config);
   const SampleVec samples(64, Sample{1.0, 0.0});
   // Fully before the capture: zero.
-  EXPECT_EQ(demod.DemodulateChipAt(samples, -100, true), 0.0);
+  EXPECT_EQ(demod.DemodulateChipComplexAt(samples, -100).real(), 0.0);
   // Straddling the start: partial (positive) correlation.
-  const double partial = demod.DemodulateChipAt(samples, -2, true);
-  const double full = demod.DemodulateChipAt(samples, 0, true);
+  const double partial = demod.DemodulateChipComplexAt(samples, -2).real();
+  const double full = demod.DemodulateChipComplexAt(samples, 0).real();
   EXPECT_GT(partial, 0.0);
   EXPECT_LT(partial, full);
 }
@@ -168,7 +185,7 @@ TEST_P(MskBerTest, MatchesTheoreticalChipErrorRate) {
       NoiseSigmaForEcN0(ec_n0, config.amplitude, config.samples_per_chip);
   AddAwgn(wave, sigma, rng);
 
-  const auto soft = demod.Demodulate(wave, 0, n_chips);
+  const auto soft = DemodulateChips(demod, wave, n_chips);
   const BitVec decoded = HardChips(soft);
   const double measured =
       static_cast<double>(decoded.HammingDistance(chips)) /

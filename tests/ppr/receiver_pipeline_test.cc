@@ -325,75 +325,5 @@ TEST(ReceiverPipelineTest, EmptyAirYieldsNothing) {
   EXPECT_TRUE(rx.Process(air).empty());
 }
 
-TEST(StreamingReceiverTest, FindsFrameAcrossChunkedPushes) {
-  const auto config = TestConfig();
-  const FrameModulator mod(config.modem);
-  StreamingReceiver rx(config);
-  Rng rng(209);
-
-  const auto payload = RandomPayload(rng, 64);
-  const auto wave = mod.Modulate(MakeHeader(64), payload);
-  phy::SampleVec air(wave.size() + 1200, phy::Sample{0.0, 0.0});
-  phy::MixInto(air, wave, 700);
-
-  // Feed in uneven chunks.
-  std::size_t pos = 0;
-  Rng chunk_rng(210);
-  while (pos < air.size()) {
-    const std::size_t n =
-        std::min(air.size() - pos, 500 + chunk_rng.UniformInt(3000));
-    rx.Push(phy::SampleVec(air.begin() + static_cast<std::ptrdiff_t>(pos),
-                           air.begin() + static_cast<std::ptrdiff_t>(pos + n)));
-    pos += n;
-  }
-  rx.Flush();
-  ASSERT_EQ(rx.Frames().size(), 1u);
-  EXPECT_EQ(rx.Frames()[0].frame_start_sample, 700);
-  EXPECT_EQ(rx.Frames()[0].PayloadBits().ToBytes(), payload);
-}
-
-TEST(StreamingReceiverTest, NoDuplicateEmissionAcrossScans) {
-  const auto config = TestConfig();
-  const FrameModulator mod(config.modem);
-  StreamingReceiver rx(config);
-  Rng rng(211);
-  const auto payload = RandomPayload(rng, 32);
-  const auto wave = mod.Modulate(MakeHeader(32), payload);
-  phy::SampleVec air(wave.size() + 600, phy::Sample{0.0, 0.0});
-  phy::MixInto(air, wave, 100);
-
-  rx.Push(air);
-  rx.Push(phy::SampleVec(4000, phy::Sample{0.0, 0.0}));
-  rx.Push(phy::SampleVec(4000, phy::Sample{0.0, 0.0}));
-  rx.Flush();
-  EXPECT_EQ(rx.Frames().size(), 1u);
-}
-
-TEST(StreamingReceiverTest, NoDuplicateOnceFrameStartIsEvicted) {
-  // Once the ring buffer slides past a frame's first sample while its
-  // postamble is still buffered, the postamble path finds the frame
-  // again; it must match the copy emitted from the preamble.
-  const auto config = TestConfig();
-  const FrameModulator mod(config.modem);
-  const std::size_t capacity =
-      2 * (frame::FrameLayout(config.max_payload_octets).TotalChips() + 2) *
-      static_cast<std::size_t>(config.modem.samples_per_chip);
-  Rng rng(214);
-  const auto payload = RandomPayload(rng, 32);
-  const auto wave = mod.Modulate(MakeHeader(32), payload);
-  phy::SampleVec air(wave.size() + 600, phy::Sample{0.0, 0.0});
-  phy::MixInto(air, wave, 100);
-  for (const std::size_t evicted : {150, 700, 2100, 4100}) {
-    StreamingReceiver rx(config);
-    rx.Push(air);
-    rx.Push(phy::SampleVec(capacity + evicted - air.size(),
-                           phy::Sample{0.0, 0.0}));
-    rx.Flush();
-    ASSERT_EQ(rx.Frames().size(), 1u) << "evicted " << evicted;
-    EXPECT_EQ(rx.Frames()[0].frame_start_sample, 100);
-    EXPECT_EQ(rx.Frames()[0].PayloadBits().ToBytes(), payload);
-  }
-}
-
 }  // namespace
 }  // namespace ppr::core

@@ -1,6 +1,7 @@
 // Testbed-wide recovery-strategy experiments: the OverhearingRelays
 // topology hook, the thread-pool sharding of RunLinkRecoveryExperiment
-// (deterministic at any thread count), and the three-strategy sweep.
+// (deterministic at any thread count), and the three strategies over
+// one prebuilt topology.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -148,12 +149,15 @@ TEST(LinkRecoveryExperimentTest, SecondRelayReducesRepairAirtimeSomewhere) {
   auto recovery = SmallRecovery();
   recovery.arq.recovery = arq::RecoveryMode::kRelayCodedRepair;
   recovery.relay_min_snr_db = -10.0;  // deeper roster
+  const TestbedTopology topology(config.testbed);
+  const RadioMedium medium(topology.Positions(), config.medium);
+  OverhearingRelayCache relay_cache(medium);
   recovery.max_relays = 1;
-  recovery.relay_count_sweep = {2};
-  const auto cmp = CompareLinkRecoveryStrategies(config, recovery);
-  ASSERT_EQ(cmp.relay_sweep.size(), 1u);
-  const auto& one = cmp.relay;
-  const auto& two = cmp.relay_sweep.front().second;
+  const auto one = RunLinkRecoveryExperiment(config, recovery, topology,
+                                             medium, relay_cache);
+  recovery.max_relays = 2;
+  const auto two = RunLinkRecoveryExperiment(config, recovery, topology,
+                                             medium, relay_cache);
   ASSERT_EQ(one.links.size(), two.links.size());
   EXPECT_EQ(two.completed, two.packets);
   std::size_t improved = 0;
@@ -167,10 +171,10 @@ TEST(LinkRecoveryExperimentTest, SecondRelayReducesRepairAirtimeSomewhere) {
     }
   }
   EXPECT_GT(improved, 0u);
-  // The relay leg and the sweep leg ran over the same links: the
-  // second leg's rosters all came from the shared cache.
-  EXPECT_GT(cmp.relay_cache_hits, 0u);
-  EXPECT_GT(cmp.relay_cache_misses, 0u);
+  // The one- and two-relay legs ran over the same links: the second
+  // leg's rosters all came from the shared cache.
+  EXPECT_GT(relay_cache.hits(), 0u);
+  EXPECT_GT(relay_cache.misses(), 0u);
 }
 
 // A dense (>= 4 overhearers per link) roster under a finite per-round
@@ -362,28 +366,38 @@ TEST(LinkRecoveryExperimentTest, MetricSnapshotAgreesWithLegacyStats) {
 }
 #endif  // !PPR_OBS_OFF
 
-// The ISSUE's reporting criterion: one call evaluates all three
-// strategies over the identical link set.
+// All three strategies over the identical link set: one
+// prebuilt-topology run per strategy, sharing one relay cache.
 TEST(CompareLinkRecoveryStrategiesTest, ReportsAllThreeStrategies) {
   const auto config = SmallConfig();
-  const auto cmp = CompareLinkRecoveryStrategies(config, SmallRecovery());
-  ASSERT_FALSE(cmp.chunk.links.empty());
-  ASSERT_EQ(cmp.chunk.links.size(), cmp.coded.links.size());
-  ASSERT_EQ(cmp.chunk.links.size(), cmp.relay.links.size());
-  for (std::size_t i = 0; i < cmp.chunk.links.size(); ++i) {
-    EXPECT_EQ(cmp.chunk.links[i].sender, cmp.relay.links[i].sender);
-    EXPECT_EQ(cmp.chunk.links[i].receiver, cmp.relay.links[i].receiver);
+  const TestbedTopology topology(config.testbed);
+  const RadioMedium medium(topology.Positions(), config.medium);
+  OverhearingRelayCache relay_cache(medium);
+  const auto run = [&](arq::RecoveryMode mode) {
+    auto recovery = SmallRecovery();
+    recovery.arq.recovery = mode;
+    return RunLinkRecoveryExperiment(config, recovery, topology, medium,
+                                     relay_cache);
+  };
+  const auto chunk = run(arq::RecoveryMode::kChunkRetransmit);
+  const auto coded = run(arq::RecoveryMode::kCodedRepair);
+  const auto relay = run(arq::RecoveryMode::kRelayCodedRepair);
+  ASSERT_FALSE(chunk.links.empty());
+  ASSERT_EQ(chunk.links.size(), coded.links.size());
+  ASSERT_EQ(chunk.links.size(), relay.links.size());
+  for (std::size_t i = 0; i < chunk.links.size(); ++i) {
+    EXPECT_EQ(chunk.links[i].sender, relay.links[i].sender);
+    EXPECT_EQ(chunk.links[i].receiver, relay.links[i].receiver);
     // Two-party strategies never recruit relays.
-    EXPECT_EQ(cmp.chunk.links[i].relay, kNoRelay);
-    EXPECT_EQ(cmp.coded.links[i].relay, kNoRelay);
+    EXPECT_EQ(chunk.links[i].relay, kNoRelay);
+    EXPECT_EQ(coded.links[i].relay, kNoRelay);
   }
-  EXPECT_EQ(cmp.chunk.completed, cmp.chunk.packets);
-  EXPECT_EQ(cmp.coded.completed, cmp.coded.packets);
-  EXPECT_EQ(cmp.relay.completed, cmp.relay.packets);
+  EXPECT_EQ(chunk.completed, chunk.packets);
+  EXPECT_EQ(coded.completed, coded.packets);
+  EXPECT_EQ(relay.completed, relay.packets);
   // Relay-coded repair never charges the source more than sender-only
   // coded repair across the testbed.
-  EXPECT_LE(cmp.relay.total_source_repair_bits,
-            cmp.coded.total_source_repair_bits);
+  EXPECT_LE(relay.total_source_repair_bits, coded.total_source_repair_bits);
 }
 
 }  // namespace
