@@ -1,9 +1,11 @@
 // Decode-complexity scoreboard: the GF(2^16) FFT Reed-Solomon erasure
 // decoder against RLNC Gaussian elimination at k in {64, 256, 1024},
-// and the fused one-pass [coefs | data] elimination against a faithful
-// two-pass replica (separate coefficient and payload sweeps — the
-// pre-fusion RlncDecoder layout). Both comparisons are the PR-level
-// acceptance gates, enforced by this binary's exit code:
+// and the fused one-pass [coefs | data] elimination (RlncDecoder on the
+// shared fec::GaussJordanInsert) against a faithful two-pass replica
+// (separate coefficient and payload sweeps — the pre-fusion layout).
+// The two sides of each comparison are timed in alternating rounds.
+// Both comparisons are acceptance gates, enforced by this binary's
+// exit code:
 //
 //   * RS erasure decode >= 4x RLNC Gaussian elimination at k = 1024,
 //     1 KiB symbols (the O(k log k) vs O(k^2) win),
@@ -29,9 +31,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -57,42 +61,48 @@ std::vector<std::vector<std::uint8_t>> RandomBlock(Rng& rng, std::size_t n,
   return block;
 }
 
-// Seconds per rep, adaptive: grows the batch until the timed region
-// dwarfs clock granularity, then takes the best (least-disturbed) of
-// three batches. Smoke mode times a single rep — good enough for a
-// bit-rot guard, far too noisy for the strict gates (which smoke
-// relaxes accordingly).
-template <typename Fn>
-double SecsPerRep(Fn&& rep, bool smoke) {
+// Seconds per rep of `a` and of `b`, the two sides of one gated ratio.
+// Each side's batch grows until the timed region dwarfs clock
+// granularity; then the sides run in alternating rounds and each keeps
+// its best (least-disturbed) batch, so a host whose speed drifts during
+// the run slows both sides alike rather than whichever ran second.
+// Smoke mode times a single rep of each — good enough for a bit-rot
+// guard, far too noisy for the strict gates (which smoke relaxes
+// accordingly).
+template <typename FnA, typename FnB>
+std::pair<double, double> PairedSecsPerRep(FnA&& a, FnB&& b, bool smoke) {
   using Clock = std::chrono::steady_clock;
-  rep();  // warm caches and field tables
-  if (smoke) {
-    const auto begin = Clock::now();
-    rep();
-    return std::chrono::duration<double>(Clock::now() - begin).count();
-  }
-  std::size_t reps = 1;
-  double best = 0.0;
-  for (;;) {
+  const auto secs_per_rep = [](auto& rep, std::size_t reps) {
     const auto begin = Clock::now();
     for (std::size_t i = 0; i < reps; ++i) rep();
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - begin).count();
-    if (secs < 0.05 && reps < (1u << 20)) {
+    return std::chrono::duration<double>(Clock::now() - begin).count() /
+           static_cast<double>(reps);
+  };
+  a();  // warm caches and field tables
+  b();
+  if (smoke) return {secs_per_rep(a, 1), secs_per_rep(b, 1)};
+  const auto batch = [&](auto& rep) {
+    std::size_t reps = 1;
+    while (reps < (1u << 20) &&
+           secs_per_rep(rep, reps) * static_cast<double>(reps) < 0.05) {
       reps *= 4;
-      continue;
     }
-    best = secs / static_cast<double>(reps);
-    break;
+    return reps;
+  };
+  const std::size_t reps_a = batch(a);
+  const std::size_t reps_b = batch(b);
+  constexpr int kRounds = 5;
+  double best_a = std::numeric_limits<double>::infinity();
+  double best_b = best_a;
+  for (int round = 0; round < kRounds; ++round) {
+    // One untimed rep ahead of each batch, so neither side pays for the
+    // cache state the other side's batch left behind.
+    a();
+    best_a = std::min(best_a, secs_per_rep(a, reps_a));
+    b();
+    best_b = std::min(best_b, secs_per_rep(b, reps_b));
   }
-  for (int round = 0; round < 2; ++round) {
-    const auto begin = Clock::now();
-    for (std::size_t i = 0; i < reps; ++i) rep();
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - begin).count();
-    best = std::min(best, secs / static_cast<double>(reps));
-  }
-  return best;
+  return {best_a, best_b};
 }
 
 double Mbps(std::size_t bytes, double secs) {
@@ -113,74 +123,68 @@ double Mbps(std::size_t bytes, double secs) {
 // block (k * symbol_bytes per decode) so the RS/RLNC ratio is exactly
 // the decode-time ratio.
 
-double RlncDecodeMbps(std::size_t k, std::size_t bytes, bool smoke) {
-  Rng rng(701);
+struct DecodeResult {
+  double rlnc_mbps = 0.0;
+  double rs_mbps = 0.0;
+};
+
+DecodeResult DecodeSweep(std::size_t k, std::size_t bytes, bool smoke) {
   const std::size_t erased = k / 2;
-  const auto block = RandomBlock(rng, k, bytes);
-  const fec::RlncEncoder encoder(block);
+
+  Rng rlnc_rng(701);
+  const auto rlnc_block = RandomBlock(rlnc_rng, k, bytes);
+  const fec::RlncEncoder rlnc_encoder(rlnc_block);
   std::vector<fec::RepairSymbol> repairs;
   for (std::uint32_t s = 1; s <= erased + 4; ++s) {
-    repairs.push_back(encoder.MakeRepair(s));
+    repairs.push_back(rlnc_encoder.MakeRepair(s));
   }
-  fec::RlncDecoder decoder(k, bytes);
-  bool verified = false;
-  const double secs = SecsPerRep(
-      [&] {
-        decoder.Reset();
-        for (std::size_t i = erased; i < k; ++i) {
-          decoder.AddSourceSpan(i, block[i]);
+  fec::RlncDecoder rlnc(k, bytes);
+  bool rlnc_verified = false;
+  const auto rlnc_rep = [&] {
+    rlnc.Reset();
+    for (std::size_t i = erased; i < k; ++i) rlnc.AddSource(i, rlnc_block[i]);
+    std::size_t r = 0;
+    while (!rlnc.Complete() && r < repairs.size()) rlnc.AddRepair(repairs[r++]);
+    if (!rlnc.Complete()) FailCorrectness("RLNC decode incomplete");
+    if (!rlnc_verified) {
+      rlnc_verified = true;
+      for (std::size_t i = 0; i < erased; ++i) {
+        const auto sym = rlnc.Symbol(i);
+        if (!std::equal(sym.begin(), sym.end(), rlnc_block[i].begin())) {
+          FailCorrectness("RLNC recovered symbol mismatch");
         }
-        std::size_t r = 0;
-        while (!decoder.Complete() && r < repairs.size()) {
-          decoder.AddRepair(repairs[r++]);
-        }
-        if (!decoder.Complete()) FailCorrectness("RLNC decode incomplete");
-        if (!verified) {
-          verified = true;
-          for (std::size_t i = 0; i < erased; ++i) {
-            const auto sym = decoder.Symbol(i);
-            if (!std::equal(sym.begin(), sym.end(), block[i].begin())) {
-              FailCorrectness("RLNC recovered symbol mismatch");
-            }
-          }
-        }
-      },
-      smoke);
-  return Mbps(k * bytes, secs);
-}
+      }
+    }
+  };
 
-double RsDecodeMbps(std::size_t k, std::size_t bytes, bool smoke) {
-  Rng rng(702);
-  const std::size_t erased = k / 2;
-  const auto block = RandomBlock(rng, k, bytes);
-  fec::ReedSolomonEncoder encoder(k, erased, bytes);
-  for (std::size_t i = 0; i < k; ++i) encoder.SetSource(i, block[i]);
-  encoder.Finish();
-  fec::ReedSolomonDecoder decoder(k, erased, bytes);
-  bool verified = false;
-  const double secs = SecsPerRep(
-      [&] {
-        decoder.Reset();
-        for (std::size_t i = erased; i < k; ++i) {
-          decoder.AddSourceSpan(i, block[i]);
+  Rng rs_rng(702);
+  const auto rs_block = RandomBlock(rs_rng, k, bytes);
+  fec::ReedSolomonEncoder rs_encoder(k, erased, bytes);
+  for (std::size_t i = 0; i < k; ++i) rs_encoder.SetSource(i, rs_block[i]);
+  rs_encoder.Finish();
+  fec::ReedSolomonDecoder rs(k, erased, bytes);
+  bool rs_verified = false;
+  const auto rs_rep = [&] {
+    rs.Reset();
+    for (std::size_t i = erased; i < k; ++i) rs.AddSourceSpan(i, rs_block[i]);
+    for (std::size_t j = 0; j < erased; ++j) {
+      rs.AddParitySpan(j, rs_encoder.Parity(j));
+    }
+    if (!rs.CanDecode()) FailCorrectness("RS decode short of rank");
+    rs.Decode();
+    if (!rs_verified) {
+      rs_verified = true;
+      for (std::size_t i = 0; i < erased; ++i) {
+        const auto sym = rs.Symbol(i);
+        if (!std::equal(sym.begin(), sym.end(), rs_block[i].begin())) {
+          FailCorrectness("RS recovered symbol mismatch");
         }
-        for (std::size_t j = 0; j < erased; ++j) {
-          decoder.AddParitySpan(j, encoder.Parity(j));
-        }
-        if (!decoder.CanDecode()) FailCorrectness("RS decode short of rank");
-        decoder.Decode();
-        if (!verified) {
-          verified = true;
-          for (std::size_t i = 0; i < erased; ++i) {
-            const auto sym = decoder.Symbol(i);
-            if (!std::equal(sym.begin(), sym.end(), block[i].begin())) {
-              FailCorrectness("RS recovered symbol mismatch");
-            }
-          }
-        }
-      },
-      smoke);
-  return Mbps(k * bytes, secs);
+      }
+    }
+  };
+
+  const auto [rlnc_secs, rs_secs] = PairedSecsPerRep(rlnc_rep, rs_rep, smoke);
+  return {Mbps(k * bytes, rlnc_secs), Mbps(k * bytes, rs_secs)};
 }
 
 // ----------------------------------------------- fused vs two-pass sweep
@@ -263,41 +267,31 @@ ElimResult ElimSweep(std::size_t k, std::size_t bytes, bool smoke) {
   for (std::uint32_t s = 1; s <= k + 4; ++s) {
     repairs.push_back(encoder.MakeRepair(s));
   }
-  ElimResult out;
 
   fec::RlncDecoder fused(k, bytes);
-  out.fused_mbps = Mbps(
-      k * bytes, SecsPerRep(
-                     [&] {
-                       fused.Reset();
-                       std::size_t r = 0;
-                       while (!fused.Complete() && r < repairs.size()) {
-                         fused.AddRepair(repairs[r++]);
-                       }
-                       if (!fused.Complete()) {
-                         FailCorrectness("fused elimination incomplete");
-                       }
-                     },
-                     smoke));
-
+  const auto fused_rep = [&] {
+    fused.Reset();
+    std::size_t r = 0;
+    while (!fused.Complete() && r < repairs.size()) {
+      fused.AddRepair(repairs[r++]);
+    }
+    if (!fused.Complete()) FailCorrectness("fused elimination incomplete");
+  };
   TwoPassDecoder twopass(k, bytes);
-  out.twopass_mbps = Mbps(
-      k * bytes,
-      SecsPerRep(
-          [&] {
-            twopass.Reset();
-            std::size_t r = 0;
-            while (!twopass.Complete() && r < repairs.size()) {
-              twopass.AddEquation(
-                  fec::RepairCoefficients(repairs[r].seed, k),
-                  repairs[r].data);
-              ++r;
-            }
-            if (!twopass.Complete()) {
-              FailCorrectness("two-pass elimination incomplete");
-            }
-          },
-          smoke));
+  const auto twopass_rep = [&] {
+    twopass.Reset();
+    std::size_t r = 0;
+    while (!twopass.Complete() && r < repairs.size()) {
+      twopass.AddEquation(fec::RepairCoefficients(repairs[r].seed, k),
+                          repairs[r].data);
+      ++r;
+    }
+    if (!twopass.Complete()) FailCorrectness("two-pass elimination incomplete");
+  };
+  const auto [fused_secs, twopass_secs] =
+      PairedSecsPerRep(fused_rep, twopass_rep, smoke);
+  const ElimResult out = {Mbps(k * bytes, fused_secs),
+                          Mbps(k * bytes, twopass_secs)};
 
   // Both eliminators must agree with the block bit-exactly.
   for (std::size_t i = 0; i < k; ++i) {
@@ -326,8 +320,9 @@ int Run(bool smoke, const std::string& json_path) {
   double gated_ratio = 0.0;
   std::size_t gated_k = 0;
   for (const std::size_t k : ks) {
-    const double rlnc = RlncDecodeMbps(k, bytes, smoke);
-    const double rs = RsDecodeMbps(k, bytes, smoke);
+    const DecodeResult decode = DecodeSweep(k, bytes, smoke);
+    const double rlnc = decode.rlnc_mbps;
+    const double rs = decode.rs_mbps;
     const double ratio = rs / rlnc;
     std::fprintf(stderr,
                  "k=%4zu  %4zu B  RlncDecode %9.1f MB/s  RsDecode %9.1f MB/s"

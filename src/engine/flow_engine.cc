@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "fec/gauss_jordan.h"
 #include "fec/gf256.h"
 #include "fec/rlnc.h"
 #include "obs/obs.h"
@@ -16,6 +17,8 @@ namespace {
 
 // Widest per-flow deficit the slot layout reserves solver rows for.
 constexpr std::size_t kDeficitCap = 64;
+// Widest flow block: NativeHeader::missing holds 8-bit column ids.
+constexpr std::size_t kMaxSource = 256;
 
 std::uint64_t PackHandle(FlowHandle handle) {
   return (static_cast<std::uint64_t>(handle.generation) << 32) | handle.index;
@@ -46,6 +49,9 @@ const EngineConfig& Validated(const EngineConfig& config) {
   if (config.n_source == 0 || config.symbol_bytes == 0) {
     throw std::invalid_argument("FlowEngine: empty flow shape");
   }
+  if (config.n_source > kMaxSource) {
+    throw std::invalid_argument("FlowEngine: n_source above 256");
+  }
   if (config.max_deficit == 0 || config.max_deficit > kDeficitCap ||
       config.max_deficit > config.n_source) {
     throw std::invalid_argument("FlowEngine: bad max_deficit");
@@ -72,108 +78,17 @@ std::size_t SlotBytes(const EngineConfig& config) {
 
 }  // namespace
 
-// Arena-backed dxd Gauss-Jordan solver over a flow's missing columns.
-// Column i is the flow's i-th missing symbol; rows live in the flow's
-// slot, the work row in engine-lifetime scratch, so ingest allocates
-// nothing.
-class FlowEngine::NativeSolver {
- public:
-  NativeSolver(NativeHeader& header, std::byte* slot, FlowEngine& engine)
-      : header_(header),
-        coefs_(reinterpret_cast<std::uint8_t*>(slot + engine.off_coefs_)),
-        data_(reinterpret_cast<std::uint8_t*>(slot + engine.off_data_)),
-        d_max_(engine.config_.max_deficit),
-        symbol_bytes_(engine.config_.symbol_bytes),
-        work_coefs_(engine.solver_coefs_),
-        work_data_(engine.solver_data_) {}
-
-  // Banks coefs . missing = data; returns true if the rank increased.
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data) {
-    const std::size_t d = header_.missing_count;
-    if (coefs.size() != d || data.size() != symbol_bytes_) {
-      throw std::invalid_argument("NativeSolver: equation shape mismatch");
-    }
-    work_coefs_.assign(coefs.begin(), coefs.end());
-    work_data_.assign(data.begin(), data.end());
-
-    // Forward-eliminate against the live pivot rows. Rows are
-    // Gauss-Jordan reduced, so factors read upfront stay valid.
-    for (std::size_t j = 0; j < d; ++j) {
-      const std::uint8_t factor = work_coefs_[j];
-      if (factor == 0 || !header_.pivot_live[j]) continue;
-      fec::GfAxpy(std::span(work_coefs_.data(), d), factor, CoefRow(j));
-      fec::GfAxpy(work_data_, factor, DataRow(j));
-    }
-    std::size_t lead = d;
-    for (std::size_t j = 0; j < d; ++j) {
-      if (work_coefs_[j] != 0) {
-        lead = j;
-        break;
-      }
-    }
-    if (lead == d) return false;  // linearly dependent
-
-    const std::uint8_t inv = fec::GfInv(work_coefs_[lead]);
-    fec::GfScale(work_coefs_, inv);
-    fec::GfScale(work_data_, inv);
-    for (std::size_t j = 0; j < d; ++j) {
-      if (!header_.pivot_live[j]) continue;
-      const std::uint8_t factor = CoefRow(j)[lead];
-      if (factor == 0) continue;
-      fec::GfAxpy(MutableCoefRow(j), factor,
-                  std::span<const std::uint8_t>(work_coefs_.data(), d));
-      fec::GfAxpy(MutableDataRow(j), factor, work_data_);
-    }
-    std::memcpy(coefs_ + lead * d_max_, work_coefs_.data(), d);
-    std::memcpy(data_ + lead * symbol_bytes_, work_data_.data(),
-                symbol_bytes_);
-    header_.pivot_live[lead] = 1;
-    ++header_.rank;
-    return true;
-  }
-
-  // Recovered missing symbol i; requires full rank (every row is then
-  // the unit vector e_i, so its data IS the missing symbol).
-  std::span<const std::uint8_t> Recovered(std::size_t i) const {
-    assert(header_.rank == header_.missing_count && header_.pivot_live[i]);
-    return DataRow(i);
-  }
-
- private:
-  std::span<const std::uint8_t> CoefRow(std::size_t j) const {
-    return {coefs_ + j * d_max_, header_.missing_count};
-  }
-  std::span<std::uint8_t> MutableCoefRow(std::size_t j) {
-    return {coefs_ + j * d_max_, header_.missing_count};
-  }
-  std::span<const std::uint8_t> DataRow(std::size_t j) const {
-    return {data_ + j * symbol_bytes_, symbol_bytes_};
-  }
-  std::span<std::uint8_t> MutableDataRow(std::size_t j) {
-    return {data_ + j * symbol_bytes_, symbol_bytes_};
-  }
-
-  NativeHeader& header_;
-  std::uint8_t* coefs_;
-  std::uint8_t* data_;
-  std::size_t d_max_;
-  std::size_t symbol_bytes_;
-  std::vector<std::uint8_t>& work_coefs_;
-  std::vector<std::uint8_t>& work_data_;
-};
-
 FlowEngine::FlowEngine(EngineConfig config)
     : config_(Validated(config)),
       arena_(SlotBytes(config_), config_.slots_per_slab) {
   off_source_ = AlignUp(sizeof(NativeHeader), 64);
-  off_coefs_ = off_source_ + config_.n_source * config_.symbol_bytes;
-  off_data_ = off_coefs_ + config_.max_deficit * config_.max_deficit;
+  off_rows_ = off_source_ + config_.n_source * config_.symbol_bytes;
+  row_stride_ = config_.max_deficit + config_.symbol_bytes;
   staging_.resize(config_.n_source);
   if (config_.codec == fec::CodecKind::kReedSolomon) {
     // Uniform flow shape: one encoder/decoder pair serves every flow
     // via Reset(). Parity rows reuse the solver region of the slot
-    // (off_coefs_): m * symbol_bytes + nothing <= the solver area, the
+    // (off_rows_): m * symbol_bytes fits in the m solver rows, the
     // delivered bitmap lives in header.pivot_live, the banked count in
     // header.rank.
     rs_encoder_ = std::make_unique<fec::ReedSolomonEncoder>(
@@ -237,7 +152,7 @@ FlowHandle FlowEngine::SpawnFlow(FlowId id) {
                        config_.symbol_bytes));
     }
     rs_encoder_->Finish();
-    auto* parity = reinterpret_cast<std::uint8_t*>(slot + off_coefs_);
+    auto* parity = reinterpret_cast<std::uint8_t*>(slot + off_rows_);
     for (std::size_t j = 0; j < config_.max_deficit; ++j) {
       const auto p = rs_encoder_->Parity(j);
       std::memcpy(parity + j * config_.symbol_bytes, p.data(), p.size());
@@ -310,8 +225,6 @@ void FlowEngine::ProcessNativeBatch() {
   }
 
   coef_scratch_.resize(n);
-  std::vector<fec::GfTerm> terms;
-  terms.reserve(n);
   std::size_t group = flows;
   for (std::size_t s = 0; s < max_request; ++s) {
     // Shrink the group to flows still requesting more than s repairs.
@@ -322,13 +235,13 @@ void FlowEngine::ProcessNativeBatch() {
     const std::uint32_t seed = fec::PartySeed(0, ++seed_counter_);
     fec::RepairCoefficientsInto(seed, coef_scratch_);
     repair_dst_.assign(span_bytes, 0);
-    terms.clear();
+    terms_.clear();
     for (std::size_t j = 0; j < n; ++j) {
       if (coef_scratch_[j] == 0) continue;
-      terms.push_back(
+      terms_.push_back(
           {coef_scratch_[j], std::span(staging_[j].data(), span_bytes)});
     }
-    fec::GfAxpyN(repair_dst_, terms);
+    fec::GfAxpyN(repair_dst_, terms_);
     ++stats_.batch_calls;
     stats_.batch_bytes += span_bytes;
     stats_.repairs_sent += group;
@@ -340,7 +253,9 @@ void FlowEngine::ProcessNativeBatch() {
     // source's ground truth under the erasure model — so the banked
     // equation is exactly the repair projected onto the flow's missing
     // columns: rho = sum over missing m of coef[m] * source[m], the
-    // d-term algebraic identity of "received data minus knowns".
+    // d-term algebraic identity of "received data minus knowns". It is
+    // built straight into the fused work row [d coefs | rho] and
+    // inserted into the flow's basis.
     for (std::size_t p = 0; p < group; ++p) {
       std::byte* slot = arena_.Get(batch_items_[p].handle);
       auto* header = reinterpret_cast<NativeHeader*>(slot);
@@ -351,19 +266,25 @@ void FlowEngine::ProcessNativeBatch() {
 
       const auto* source =
           reinterpret_cast<const std::uint8_t*>(slot + off_source_);
-      proj_coefs_.resize(d);
-      proj_data_.assign(sb, 0);
-      terms.clear();
+      work_row_.assign(d + sb, 0);
+      terms_.clear();
       for (std::size_t i = 0; i < d; ++i) {
         const std::uint8_t m = header->missing[i];
-        proj_coefs_[i] = coef_scratch_[m];
-        if (proj_coefs_[i] == 0) continue;
-        terms.push_back({proj_coefs_[i],
-                         std::span(source + m * sb, sb)});
+        work_row_[i] = coef_scratch_[m];
+        if (work_row_[i] == 0) continue;
+        terms_.push_back({work_row_[i], std::span(source + m * sb, sb)});
       }
-      fec::GfAxpyN(proj_data_, terms);
-      NativeSolver(*header, slot, *this)
-          .ConsumeEquationSpan(proj_coefs_, proj_data_);
+      fec::GfAxpyN(std::span(work_row_).subspan(d), terms_);
+      const std::size_t lead = fec::GaussJordanInsert(
+          work_row_, d,
+          [&](std::size_t j) {
+            return header->pivot_live[j] ? SolverRow(slot, j) : nullptr;
+          },
+          terms_);
+      if (lead == d) continue;  // linearly dependent
+      std::memcpy(SolverRow(slot, lead), work_row_.data(), work_row_.size());
+      header->pivot_live[lead] = 1;
+      ++header->rank;
     }
   }
 
@@ -443,7 +364,7 @@ void FlowEngine::FinishFlow(FlowHandle handle, bool decoded) {
         rs_decoder_->AddSourceSpan(i, std::span(source + i * sb, sb));
       }
       const auto* parity =
-          reinterpret_cast<const std::uint8_t*>(slot + off_coefs_);
+          reinterpret_cast<const std::uint8_t*>(slot + off_rows_);
       for (std::size_t j = 0; j < config_.max_deficit; ++j) {
         if (!header->pivot_live[j]) continue;
         rs_decoder_->AddParitySpan(j, std::span(parity + j * sb, sb));
@@ -457,11 +378,13 @@ void FlowEngine::FinishFlow(FlowHandle handle, bool decoded) {
         }
       }
     } else {
-      NativeSolver solver(*header, slot, *this);
-      for (std::size_t i = 0; i < header->missing_count; ++i) {
-        const auto recovered = solver.Recovered(i);
-        if (std::memcmp(recovered.data(), source + header->missing[i] * sb,
-                        sb) != 0) {
+      // Full rank: every solver row is the unit vector e_i, so its
+      // payload IS missing symbol i.
+      const std::size_t d = header->missing_count;
+      for (std::size_t i = 0; i < d; ++i) {
+        assert(header->pivot_live[i]);
+        if (std::memcmp(SolverRow(slot, i) + d,
+                        source + header->missing[i] * sb, sb) != 0) {
           throw std::logic_error("FlowEngine: recovered symbol mismatch");
         }
       }

@@ -34,7 +34,8 @@
 // out against the destination's correct copies — which, in the
 // erasure model, equal the source's ground truth — so the banked
 // equation projects onto the missing columns only). The per-flow
-// solver keeps its pivot rows in the flow's arena slot.
+// solver keeps its pivot rows in the flow's arena slot as fused
+// [coefs | data] rows, inserted by the shared fec::GaussJordanInsert.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +46,7 @@
 #include "common/event_queue.h"
 #include "engine/arena.h"
 #include "fec/codec.h"
+#include "fec/gf256.h"
 #include "fec/reed_solomon.h"
 
 namespace ppr::engine {
@@ -53,7 +55,8 @@ using FlowId = std::uint64_t;
 
 struct EngineConfig {
   // Uniform flow shape: every native flow recovers an n_source-symbol
-  // block of symbol_bytes-byte symbols.
+  // block of symbol_bytes-byte symbols. Capped at 256: a flow's missing
+  // columns are kept as 8-bit column ids.
   std::size_t n_source = 16;
   std::size_t symbol_bytes = 64;
   // Deficits are drawn uniformly in [1, max_deficit] per flow; this
@@ -122,12 +125,15 @@ class FlowEngine {
   // half, so a stale handle is detected on pop without a lookup).
   using FlowQueue = EventQueue<std::uint64_t>;
 
-  class NativeSolver;  // arena-backed dxd eliminator, defined in .cc
-
   std::size_t ProcessTick(std::uint64_t tick_time);
   void ProcessNativeBatch();  // consumes batch_items_ (kRlnc)
   void ProcessRsBatch();      // consumes batch_items_ (kReedSolomon)
   void FinishFlow(FlowHandle handle, bool decoded);
+  // Solver row i of a native flow's slot: [missing_count coefs |
+  // symbol_bytes payload], rows row_stride_ bytes apart.
+  std::uint8_t* SolverRow(std::byte* slot, std::size_t i) const {
+    return reinterpret_cast<std::uint8_t*>(slot + off_rows_) + i * row_stride_;
+  }
 
   struct BatchItem {
     FlowHandle handle;
@@ -140,10 +146,11 @@ class FlowEngine {
   EngineStats stats_;
   std::uint64_t now_ = 0;
   std::uint32_t seed_counter_ = 0;  // shared repair-slot seeds
-  // Slot layout offsets (bytes from slot start), fixed per engine.
+  // Slot layout (bytes from slot start), fixed per engine: the source
+  // block, then max_deficit solver rows of max_deficit + symbol_bytes.
   std::size_t off_source_ = 0;
-  std::size_t off_coefs_ = 0;
-  std::size_t off_data_ = 0;
+  std::size_t off_rows_ = 0;
+  std::size_t row_stride_ = 0;
 
   // Tick-lifetime scratch, reused across ticks.
   std::vector<FlowQueue::Entry> due_events_;
@@ -151,10 +158,8 @@ class FlowEngine {
   std::vector<std::vector<std::uint8_t>> staging_;  // symbol-major gather
   std::vector<std::uint8_t> repair_dst_;            // fused encode output
   std::vector<std::uint8_t> coef_scratch_;          // shared slot coefs
-  std::vector<std::uint8_t> proj_coefs_;            // missing-column coefs
-  std::vector<std::uint8_t> proj_data_;             // projected equation
-  std::vector<std::uint8_t> solver_coefs_;          // solver work row
-  std::vector<std::uint8_t> solver_data_;
+  std::vector<std::uint8_t> work_row_;              // projected equation
+  std::vector<fec::GfTerm> terms_;                  // encode/solve terms
   // kReedSolomon: one engine-lifetime encoder/decoder pair (the flow
   // shape is uniform), Reset() between flows — spawn and finish stay
   // heap-free in steady state.

@@ -78,21 +78,14 @@ CodedRepairSession::CodedRepairSession(
 bool CodedRepairSession::ConsumeRepair(const RepairSymbol& repair) {
   coef_scratch_.resize(num_source());
   RepairCoefficientsInto(repair.seed, coef_scratch_);
-  return ConsumeEquationSpan(coef_scratch_, repair.data, /*suspicion=*/0.0,
-                             /*evictable=*/false);
+  return ConsumeEquation(coef_scratch_, repair.data, /*suspicion=*/0.0,
+                         /*evictable=*/false);
 }
 
-bool CodedRepairSession::ConsumeEquation(std::vector<std::uint8_t> coefs,
-                                         std::vector<std::uint8_t> data,
+bool CodedRepairSession::ConsumeEquation(std::span<const std::uint8_t> coefs,
+                                         std::span<const std::uint8_t> data,
                                          double suspicion, bool evictable,
                                          std::uint8_t party) {
-  return ConsumeEquationSpan(coefs, data, suspicion, evictable, party);
-}
-
-bool CodedRepairSession::ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                                             std::span<const std::uint8_t> data,
-                                             double suspicion, bool evictable,
-                                             std::uint8_t party) {
   if (coefs.size() != num_source() || data.size() != symbol_bytes()) {
     throw std::invalid_argument("ConsumeEquation: shape mismatch");
   }
@@ -103,7 +96,7 @@ bool CodedRepairSession::ConsumeEquationSpan(std::span<const std::uint8_t> coefs
   eq.evictable = evictable;
   eq.party = party;
   equations_.push_back(std::move(eq));
-  const bool rank_up = decoder_.AddEquationSpan(coefs, data);
+  const bool rank_up = decoder_.AddEquation(coefs, data);
   obs::Count(party == 0 ? "fec.coded.equations.source"
                         : "fec.coded.equations.relay");
   if (rank_up) obs::Count("fec.coded.rank_increments");
@@ -200,17 +193,17 @@ std::size_t CodedRepairSession::num_trusted() const {
 void CodedRepairSession::Rebuild() {
   obs::Count("fec.coded.rebuilds");
   decoder_.Reset();
-  // Span-based replay: the banked rows are borrowed, not copied, and the
-  // decoder's Reset() parked its retired pivot rows for reuse, so a
-  // rebuild allocates nothing in steady state.
+  // The banked rows are borrowed, not copied, and the decoder's Reset()
+  // keeps its row buffers, so a rebuild allocates nothing in steady
+  // state.
   for (std::size_t i = 0; i < num_source(); ++i) {
-    if (trusted_[i]) decoder_.AddSourceSpan(i, received_[i]);
+    if (trusted_[i]) decoder_.AddSource(i, received_[i]);
   }
   for (const auto& eq : equations_) {
     // Once the basis is full every further replay is linearly dependent
     // and would only pay the elimination sweep to find that out.
     if (decoder_.Complete()) break;
-    if (!eq.distrusted) decoder_.AddEquationSpan(eq.coefs, eq.data);
+    if (!eq.distrusted) decoder_.AddEquation(eq.coefs, eq.data);
   }
 }
 

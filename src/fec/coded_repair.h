@@ -66,6 +66,9 @@ class CodedRepairSession {
   bool ConsumeRepair(const RepairSymbol& repair);
 
   // Banks an arbitrary (CRC-validated) equation: coefs . source = data.
+  // The session keeps its own copy (eviction replays it), so the
+  // caller's buffers are only borrowed and a driver can feed many
+  // sessions from one staging buffer.
   // `evictable` marks equations computed from a foreign, unverifiable
   // copy of the body (an overhearing relay): they pass the wire CRC yet
   // may still encode a SoftPHY miss, so a failed packet verify may
@@ -75,18 +78,9 @@ class CodedRepairSession {
   // evictable equation a relay contributed was computed from the SAME
   // foreign body image, so one SoftPHY miss poisons the relay's whole
   // stream and eviction distrusts that party's equations as a group.
-  bool ConsumeEquation(std::vector<std::uint8_t> coefs,
-                       std::vector<std::uint8_t> data, double suspicion,
+  bool ConsumeEquation(std::span<const std::uint8_t> coefs,
+                       std::span<const std::uint8_t> data, double suspicion,
                        bool evictable, std::uint8_t party = 0);
-
-  // Borrowed-span form of ConsumeEquation: the session banks its own
-  // copy (eviction replay needs it) but the caller's buffers are never
-  // consumed, so a driver can feed many sessions from one staging
-  // buffer.
-  bool ConsumeEquationSpan(std::span<const std::uint8_t> coefs,
-                           std::span<const std::uint8_t> data,
-                           double suspicion, bool evictable,
-                           std::uint8_t party = 0);
 
   // Decoded source symbols; requires CanDecode().
   std::vector<std::vector<std::uint8_t>> Decode() const;

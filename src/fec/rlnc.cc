@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "fec/gauss_jordan.h"
 #include "fec/gf256.h"
 
 namespace ppr::fec {
@@ -102,126 +103,76 @@ RepairSymbol RlncEncoder::MakeRepair(std::uint32_t seed) const {
 }
 
 RlncDecoder::RlncDecoder(std::size_t n_source, std::size_t symbol_bytes)
-    : n_source_(n_source), symbol_bytes_(symbol_bytes), pivot_(n_source) {
+    : n_source_(n_source),
+      symbol_bytes_(symbol_bytes),
+      rows_(n_source),
+      live_(n_source, 0) {
   if (n_source == 0 || symbol_bytes == 0) {
     throw std::invalid_argument("RlncDecoder: empty source block");
   }
 }
 
-bool RlncDecoder::AddSource(std::size_t index, std::vector<std::uint8_t> data) {
-  return AddSourceSpan(index, data);
-}
-
-bool RlncDecoder::AddSourceSpan(std::size_t index,
-                                std::span<const std::uint8_t> data) {
-  assert(index < n_source_);
+bool RlncDecoder::AddSource(std::size_t index,
+                            std::span<const std::uint8_t> data) {
+  if (index >= n_source_) {
+    throw std::invalid_argument("RlncDecoder: source index out of range");
+  }
   if (data.size() != symbol_bytes_) {
     throw std::invalid_argument("RlncDecoder: equation shape mismatch");
   }
   work_.assign(row_bytes(), 0);
   work_[index] = 1;
   std::copy(data.begin(), data.end(), work_.begin() + n_source_);
-  return EliminateWork();
+  return InsertWork();
 }
 
 bool RlncDecoder::AddRepair(const RepairSymbol& repair) {
-  return AddRepairBatch({&repair, 1}) != 0;
-}
-
-std::size_t RlncDecoder::AddRepairBatch(std::span<const RepairSymbol> repairs) {
-  std::size_t gained = 0;
-  coef_scratch_.resize(n_source_);
-  for (const auto& repair : repairs) {
-    if (Complete()) break;
-    RepairCoefficientsInto(repair.seed, coef_scratch_);
-    if (AddEquationSpan(coef_scratch_, repair.data)) ++gained;
+  if (Complete()) return false;
+  if (repair.data.size() != symbol_bytes_) {
+    throw std::invalid_argument("RlncDecoder: equation shape mismatch");
   }
-  return gained;
+  work_.resize(row_bytes());
+  RepairCoefficientsInto(repair.seed, std::span(work_).first(n_source_));
+  std::copy(repair.data.begin(), repair.data.end(),
+            work_.begin() + n_source_);
+  return InsertWork();
 }
 
-bool RlncDecoder::AddEquation(std::vector<std::uint8_t> coefs,
-                              std::vector<std::uint8_t> data) {
-  return AddEquationSpan(coefs, data);
-}
-
-bool RlncDecoder::AddEquationSpan(std::span<const std::uint8_t> coefs,
-                                  std::span<const std::uint8_t> data) {
+bool RlncDecoder::AddEquation(std::span<const std::uint8_t> coefs,
+                              std::span<const std::uint8_t> data) {
   if (coefs.size() != n_source_ || data.size() != symbol_bytes_) {
     throw std::invalid_argument("RlncDecoder: equation shape mismatch");
   }
   work_.resize(row_bytes());
   std::copy(coefs.begin(), coefs.end(), work_.begin());
   std::copy(data.begin(), data.end(), work_.begin() + n_source_);
-  return EliminateWork();
+  return InsertWork();
 }
 
-bool RlncDecoder::EliminateWork() {
-  // Forward-eliminate against every existing pivot. Pivot rows are
-  // Gauss-Jordan reduced — zero at every OTHER pivot column — so
-  // eliminating against pivot j never changes the factor a later pivot
-  // sees; all factors can be read upfront and the whole sweep batched
-  // into ONE GfAxpyN over the fused [coefs | data] rows: coefficient
-  // and payload bytes are eliminated in the same pass instead of two.
-  terms_.clear();
-  for (std::size_t j = 0; j < n_source_; ++j) {
-    if (work_[j] == 0 || !pivot_[j].has_value()) continue;
-    terms_.push_back({work_[j], *pivot_[j]});
-  }
-  GfAxpyN(work_, terms_);
-
-  // Find the new pivot column, if any rank survives.
-  std::size_t lead = n_source_;
-  for (std::size_t j = 0; j < n_source_; ++j) {
-    if (work_[j] != 0) {
-      lead = j;
-      break;
-    }
-  }
+bool RlncDecoder::InsertWork() {
+  const std::size_t lead = GaussJordanInsert(
+      work_, n_source_,
+      [this](std::size_t j) { return live_[j] ? rows_[j].data() : nullptr; },
+      terms_);
   if (lead == n_source_) return false;  // linearly dependent
-
-  GfScale(work_, GfInv(work_[lead]));
-
-  // Back-eliminate the new column from existing rows so the basis stays
-  // Gauss-Jordan reduced — again one fused pass per affected row.
-  for (std::size_t j = 0; j < n_source_; ++j) {
-    if (!pivot_[j].has_value()) continue;
-    const std::uint8_t factor = (*pivot_[j])[lead];
-    if (factor == 0) continue;
-    GfAxpy(*pivot_[j], factor, work_);
-  }
-
-  // Swap the work row into a (possibly recycled) pivot row; the retired
-  // buffer becomes the next call's work scratch.
-  Row row = TakeSpareRow();
-  row.swap(work_);
-  pivot_[lead] = std::move(row);
+  // The work row becomes the pivot row; the lead column's dead buffer
+  // (empty on first use) becomes the next call's work scratch.
+  rows_[lead].swap(work_);
+  live_[lead] = 1;
   ++rank_;
   return true;
 }
 
-RlncDecoder::Row RlncDecoder::TakeSpareRow() {
-  if (spare_.empty()) return Row{};
-  Row row = std::move(spare_.back());
-  spare_.pop_back();
-  return row;
-}
-
 void RlncDecoder::Reset() {
-  // Park retired pivot rows for reuse: a rebuild (the
-  // CodedRepairSession evict-and-replay loop) re-inserts the same
-  // number of rows it just dropped, so steady state allocates nothing.
-  for (auto& p : pivot_) {
-    if (p.has_value()) spare_.push_back(std::move(*p));
-    p.reset();
-  }
+  live_.assign(n_source_, 0);
   rank_ = 0;
 }
 
 std::span<const std::uint8_t> RlncDecoder::Symbol(std::size_t i) const {
   assert(Complete());
-  assert(i < n_source_ && pivot_[i].has_value());
-  return std::span<const std::uint8_t>(*pivot_[i]).subspan(n_source_,
-                                                           symbol_bytes_);
+  assert(i < n_source_ && live_[i]);
+  return std::span<const std::uint8_t>(rows_[i]).subspan(n_source_,
+                                                         symbol_bytes_);
 }
 
 }  // namespace ppr::fec

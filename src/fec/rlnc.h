@@ -13,16 +13,14 @@
 // symbols the receiver already trusts enter as identity rows, repair
 // symbols as dense rows, and decoding succeeds as soon as the rank
 // reaches the source block size. Each row is stored FUSED — one
-// contiguous [coefs | data] buffer — so every elimination step (the
-// forward sweep, the pivot normalization, the back-elimination) runs as
-// a single GfAxpyN/GfScale/GfAxpy pass over coefficient and payload
-// bytes together instead of two sweeps, halving dispatch overhead and
-// streaming each row through cache once.
+// contiguous [coefs | data] buffer — and inserted by the shared
+// fec::GaussJordanInsert (fec/gauss_jordan.h), so every elimination
+// step runs as a single GF pass over coefficient and payload bytes
+// together.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -114,36 +112,25 @@ class RlncDecoder {
   std::size_t rank() const { return rank_; }
   bool Complete() const { return rank_ == n_source_; }
 
-  // A systematic symbol received (or trusted) verbatim. Returns true if
-  // it increased the rank.
-  bool AddSource(std::size_t index, std::vector<std::uint8_t> data);
+  // Every ingest copies its input into one reused work row, so the
+  // caller's buffers are only borrowed. Each returns true if the
+  // equation increased the rank, and throws std::invalid_argument on an
+  // index or size that does not fit the block.
 
-  // Borrowed-span form of AddSource: `data` is copied into reused
-  // internal scratch, so a caller replaying a retained block
-  // (CodedRepairSession::Rebuild) allocates nothing per call.
-  bool AddSourceSpan(std::size_t index, std::span<const std::uint8_t> data);
+  // A systematic symbol received (or trusted) verbatim.
+  bool AddSource(std::size_t index, std::span<const std::uint8_t> data);
 
   // A coded repair symbol; coefficients are regenerated from its seed.
+  // Once the decoder is complete it returns false without looking.
   bool AddRepair(const RepairSymbol& repair);
 
-  // Batch ingest: every repair in order, coefficients expanded into one
-  // reused scratch buffer. Returns how many increased the rank.
-  std::size_t AddRepairBatch(std::span<const RepairSymbol> repairs);
-
   // A raw equation: coefs (n_source long) . source = data.
-  bool AddEquation(std::vector<std::uint8_t> coefs,
-                   std::vector<std::uint8_t> data);
+  bool AddEquation(std::span<const std::uint8_t> coefs,
+                   std::span<const std::uint8_t> data);
 
-  // Borrowed-span form of AddEquation; the decoder copies into reused
-  // scratch and retired pivot rows are recycled, so steady-state ingest
-  // (dependent equations, post-Reset rebuilds) performs no allocation.
-  bool AddEquationSpan(std::span<const std::uint8_t> coefs,
-                       std::span<const std::uint8_t> data);
-
-  // Back to rank 0 with the same shape. Pivot row buffers are parked in
-  // a spare pool and reused by later insertions — cheaper than
-  // reconstructing the decoder when a session rebuilds its elimination
-  // state (CodedRepairSession::Rebuild).
+  // Back to rank 0 with the same shape. The row buffers stay allocated
+  // for the next decode, so a session that rebuilds its elimination
+  // state (CodedRepairSession::Rebuild) allocates nothing.
   void Reset();
 
   // Decoded source symbol `i` (a view into the pivot row, valid until
@@ -151,33 +138,26 @@ class RlncDecoder {
   std::span<const std::uint8_t> Symbol(std::size_t i) const;
 
  private:
-  // One fused row: n_source_ coefficient bytes followed by symbol_bytes_
-  // payload bytes, eliminated together in single GF passes.
-  using Row = std::vector<std::uint8_t>;
-
   std::size_t row_bytes() const { return n_source_ + symbol_bytes_; }
 
-  // Runs the elimination sweep over the fused work row (work_),
-  // inserting the surviving pivot. The shared core of every ingest
-  // entry point.
-  bool EliminateWork();
-  Row TakeSpareRow();
+  // Inserts the work row into the basis (fec/gauss_jordan.h) and swaps
+  // it into its lead column's row buffer.
+  bool InsertWork();
 
   std::size_t n_source_;
   std::size_t symbol_bytes_;
   std::size_t rank_ = 0;
-  // pivot_[i] holds the row whose leading coefficient is column i,
-  // scaled to 1 and with zeros at every other pivot column (Gauss-Jordan
-  // reduced). At full rank each row is the unit vector e_i, so its data
-  // half IS source symbol i.
-  std::vector<std::optional<Row>> pivot_;
-  // Reused scratch: the in-flight fused equation, the batched
-  // elimination term list, seed-expanded coefficients, and retired row
-  // buffers.
-  Row work_;
+  // rows_[i] is live when the basis holds a row whose lead is column i:
+  // one fused [n_source coefs | symbol_bytes data] buffer, scaled to 1
+  // at i and zero at every other pivot column (Gauss-Jordan reduced).
+  // At full rank each row is the unit vector e_i, so its data half IS
+  // source symbol i. Dead rows keep their buffers for reuse.
+  std::vector<std::vector<std::uint8_t>> rows_;
+  std::vector<std::uint8_t> live_;
+  // Reused scratch: the in-flight fused equation and the elimination
+  // term list.
+  std::vector<std::uint8_t> work_;
   std::vector<GfTerm> terms_;
-  std::vector<std::uint8_t> coef_scratch_;
-  std::vector<Row> spare_;
 };
 
 }  // namespace ppr::fec

@@ -53,6 +53,10 @@ const std::vector<std::size_t>& OverhearingRelayCache::Get(
       .first->second;
 }
 
+std::size_t OverhearingRelayCache::hits() const { return hits_; }
+
+std::size_t OverhearingRelayCache::misses() const { return misses_; }
+
 TestbedTopology::TestbedTopology(const TestbedConfig& config)
     : config_(config) {
   Rng rng(config_.seed);

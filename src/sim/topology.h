@@ -82,8 +82,8 @@ class OverhearingRelayCache {
                                       std::size_t receiver,
                                       double min_snr_db);
 
-  std::size_t hits() const { return hits_; }
-  std::size_t misses() const { return misses_; }
+  std::size_t hits() const;
+  std::size_t misses() const;
 
  private:
   const RadioMedium* medium_;

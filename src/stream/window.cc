@@ -4,6 +4,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "fec/gauss_jordan.h"
 #include "fec/gf256.h"
 #include "fec/rlnc.h"
 #include "obs/obs.h"
@@ -111,15 +112,15 @@ bool WindowDecoder::AddSource(SymbolId id, std::vector<std::uint8_t> data) {
     Row row = std::move(*pivots_[col]);
     pivots_[col].reset();
     --rank_;
-    row.coefs[col] = 0;
-    fec::GfAxpy(row.data, 1, data);
+    row[col] = 0;
+    fec::GfAxpy(Payload(row), 1, data);
     SetKnown(id, std::move(data), /*recovered=*/false);
-    AddRow(std::move(row.coefs), std::move(row.data));
-    ExtractUnitRows(col);
+    AddRow(std::move(row));
+    ExtractUnitRows();
     return true;
   }
   SetKnown(id, std::move(data), /*recovered=*/false);
-  ExtractUnitRows(col);
+  ExtractUnitRows();
   return true;
 }
 
@@ -147,10 +148,11 @@ bool WindowDecoder::AddRepair(const StreamRepairSymbol& repair) {
 
   // Substitute every known symbol out of the equation; what is left is
   // a relation over the window's unknown columns only.
-  std::vector<std::uint8_t> coefs(capacity_, 0);
-  std::vector<std::uint8_t> data = repair.data;
+  Row row(capacity_ + symbol_bytes_, 0);
+  std::copy(repair.data.begin(), repair.data.end(),
+            row.begin() + static_cast<std::ptrdiff_t>(capacity_));
   const auto span_coefs = fec::RepairCoefficients(repair.seed, repair.span);
-  std::vector<fec::GfTerm> known_terms;
+  terms_.clear();
   bool any_unknown = false;
   for (std::size_t j = 0; j < repair.span; ++j) {
     const std::uint8_t c = span_coefs[j];
@@ -158,57 +160,30 @@ bool WindowDecoder::AddRepair(const StreamRepairSymbol& repair) {
     const SymbolId id = repair.first_id + j;
     if (id < base_) {
       assert(retired_[Slot(id)].has_value());
-      known_terms.push_back({c, *retired_[Slot(id)]});
+      terms_.push_back({c, *retired_[Slot(id)]});
     } else if (Known(id)) {
-      known_terms.push_back({c, KnownData(id)});
+      terms_.push_back({c, KnownData(id)});
     } else {
-      coefs[static_cast<std::size_t>(id - base_)] = c;
+      row[static_cast<std::size_t>(id - base_)] = c;
       any_unknown = true;
     }
   }
-  fec::GfAxpyN(data, known_terms);
+  fec::GfAxpyN(Payload(row), terms_);
   if (!any_unknown) return false;  // everything already known
-  return AddRow(std::move(coefs), std::move(data));
+  return AddRow(std::move(row));
 }
 
-bool WindowDecoder::AddRow(std::vector<std::uint8_t> coefs,
-                           std::vector<std::uint8_t> data) {
-  // Forward-eliminate against the basis. Pivot rows are Gauss-Jordan
-  // reduced (zero at every other pivot column), so the factors can be
-  // read upfront and the sweep batched, as in fec::RlncDecoder.
-  std::vector<fec::GfTerm> coef_terms, data_terms;
-  for (std::size_t j = 0; j < capacity_; ++j) {
-    if (coefs[j] == 0 || !pivots_[j].has_value()) continue;
-    coef_terms.push_back({coefs[j], pivots_[j]->coefs});
-    data_terms.push_back({coefs[j], pivots_[j]->data});
-  }
-  fec::GfAxpyN(coefs, coef_terms);
-  fec::GfAxpyN(data, data_terms);
-
-  std::size_t lead = capacity_;
-  for (std::size_t j = 0; j < capacity_; ++j) {
-    if (coefs[j] != 0) {
-      lead = j;
-      break;
-    }
-  }
+bool WindowDecoder::AddRow(Row row) {
+  const std::size_t lead = fec::GaussJordanInsert(
+      row, capacity_,
+      [this](std::size_t j) {
+        return pivots_[j].has_value() ? pivots_[j]->data() : nullptr;
+      },
+      terms_);
   if (lead == capacity_) return false;  // linearly dependent
-
-  const std::uint8_t inv = fec::GfInv(coefs[lead]);
-  fec::GfScale(coefs, inv);
-  fec::GfScale(data, inv);
-
-  for (std::size_t j = 0; j < capacity_; ++j) {
-    if (!pivots_[j].has_value()) continue;
-    const std::uint8_t factor = pivots_[j]->coefs[lead];
-    if (factor == 0) continue;
-    fec::GfAxpy(pivots_[j]->coefs, factor, coefs);
-    fec::GfAxpy(pivots_[j]->data, factor, data);
-  }
-
-  pivots_[lead] = Row{std::move(coefs), std::move(data)};
+  pivots_[lead] = std::move(row);
   ++rank_;
-  ExtractUnitRows(lead);
+  ExtractUnitRows();
   return true;
 }
 
@@ -219,26 +194,25 @@ void WindowDecoder::SetKnown(SymbolId id, std::vector<std::uint8_t> data,
   assert(!pivots_[col].has_value());
   // Substitute the new known out of every row still referencing the
   // column (possible when it was a non-pivot column).
-  for (std::size_t j = 0; j < capacity_; ++j) {
-    if (!pivots_[j].has_value()) continue;
-    const std::uint8_t c = pivots_[j]->coefs[col];
+  for (auto& pivot : pivots_) {
+    if (!pivot.has_value()) continue;
+    const std::uint8_t c = (*pivot)[col];
     if (c == 0) continue;
-    fec::GfAxpy(pivots_[j]->data, c, data);
-    pivots_[j]->coefs[col] = 0;
+    fec::GfAxpy(Payload(*pivot), c, data);
+    (*pivot)[col] = 0;
   }
   known_[Slot(id)] = std::move(data);
   recovered_[Slot(id)] = recovered;
   ++known_count_;
 }
 
-void WindowDecoder::ExtractUnitRows(std::size_t hint_col) {
+void WindowDecoder::ExtractUnitRows() {
   // A pivot row reduced to a single nonzero coefficient IS its symbol:
   // extract it as known and retire the row. Extraction substitutes
   // nothing (the pivot column is zero in every other row by
   // Gauss-Jordan reduction), but SetKnown's substitution of
   // still-referenced non-pivot columns can shrink further rows to unit
   // weight, so iterate to a fixpoint.
-  (void)hint_col;
   bool changed = true;
   while (changed) {
     changed = false;
@@ -247,16 +221,20 @@ void WindowDecoder::ExtractUnitRows(std::size_t hint_col) {
       const Row& row = *pivots_[j];
       bool unit = true;
       for (std::size_t k = 0; k < capacity_; ++k) {
-        if (k != j && row.coefs[k] != 0) {
+        if (k != j && row[k] != 0) {
           unit = false;
           break;
         }
       }
       if (!unit) continue;
-      assert(row.coefs[j] == 1);
-      std::vector<std::uint8_t> data = std::move(pivots_[j]->data);
+      assert(row[j] == 1);
+      // The payload half IS the symbol: drop the coefficient prefix in
+      // place.
+      Row data = std::move(*pivots_[j]);
       pivots_[j].reset();
       --rank_;
+      data.erase(data.begin(),
+                 data.begin() + static_cast<std::ptrdiff_t>(capacity_));
       SetKnown(base_ + j, std::move(data), /*recovered=*/true);
       obs::Count("stream.window.recovered");
       changed = true;
@@ -292,13 +270,13 @@ std::vector<DeliverableSymbol> WindowDecoder::PopDeliverable() {
   pivots_.resize(capacity_);
   for (auto& pivot : pivots_) {
     if (!pivot.has_value()) continue;
-    auto& coefs = pivot->coefs;
-    assert(std::all_of(coefs.begin(),
-                       coefs.begin() + static_cast<std::ptrdiff_t>(shift),
+    const auto first = pivot->begin();
+    const auto cols_end = first + static_cast<std::ptrdiff_t>(capacity_);
+    assert(std::all_of(first, first + static_cast<std::ptrdiff_t>(shift),
                        [](std::uint8_t c) { return c == 0; }));
-    coefs.erase(coefs.begin(),
-                coefs.begin() + static_cast<std::ptrdiff_t>(shift));
-    coefs.resize(capacity_, 0);
+    std::fill(std::copy(first + static_cast<std::ptrdiff_t>(shift), cols_end,
+                        first),
+              cols_end, 0);
   }
   return out;
 }

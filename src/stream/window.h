@@ -9,10 +9,10 @@
 // the window and retire the oldest symbols. The destination mirrors
 // the window: source symbols land verbatim, repair symbols become
 // equations over the window's still-unknown columns, and incremental
-// Gauss-Jordan elimination recovers losses as soon as enough
-// independent equations span them. A delivered symbol is "recovered"
-// exactly when elimination produced it; every AddSource symbol arrived
-// verbatim.
+// Gauss-Jordan elimination (the shared fec::GaussJordanInsert, on fused
+// [coefs | data] rows) recovers losses as soon as enough independent
+// equations span them. A delivered symbol is "recovered" exactly when
+// elimination produced it; every AddSource symbol arrived verbatim.
 //
 // Window advance never re-eliminates the surviving basis. The decoder
 // substitutes every known symbol out of an equation at ingest (and a
@@ -32,8 +32,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
+#include "fec/gf256.h"
 #include "stream/stream_ids.h"
 
 namespace ppr::stream {
@@ -142,25 +144,27 @@ class WindowDecoder {
   std::size_t overflow_dropped() const { return overflow_dropped_; }
 
  private:
-  struct Row {
-    // coefs[i] applies to symbol base_ + i; Gauss-Jordan reduced
-    // against every other pivot row, zero on every known column.
-    std::vector<std::uint8_t> coefs;
-    std::vector<std::uint8_t> data;
-  };
+  // One fused basis row: capacity coefficient bytes (byte i applies to
+  // symbol base_ + i) followed by symbol_bytes payload bytes,
+  // Gauss-Jordan reduced against every other pivot row and zero on
+  // every known column.
+  using Row = std::vector<std::uint8_t>;
 
   std::size_t Slot(SymbolId id) const {
     return static_cast<std::size_t>(id % capacity_);
   }
+  std::span<std::uint8_t> Payload(Row& row) const {
+    return std::span(row).subspan(capacity_);
+  }
   bool Known(SymbolId id) const;
   const std::vector<std::uint8_t>& KnownData(SymbolId id) const;
-  // Substitutes knowns out of a window-anchored dense row, reduces it
-  // against the basis, inserts the surviving pivot, and extracts any
-  // rows elimination turned into unit vectors. Returns true if the
-  // rank increased.
-  bool AddRow(std::vector<std::uint8_t> coefs, std::vector<std::uint8_t> data);
+  // Inserts a window-anchored row whose known columns are already
+  // substituted out (fec::GaussJordanInsert), banks the surviving
+  // pivot, and extracts any rows elimination turned into unit vectors.
+  // Returns true if the rank increased.
+  bool AddRow(Row row);
   void SetKnown(SymbolId id, std::vector<std::uint8_t> data, bool recovered);
-  void ExtractUnitRows(std::size_t hint_col);
+  void ExtractUnitRows();
 
   std::size_t capacity_;
   std::size_t symbol_bytes_;
@@ -181,6 +185,7 @@ class WindowDecoder {
   // shifted on advance (retired columns are zero everywhere, so the
   // shift never re-eliminates).
   std::vector<std::optional<Row>> pivots_;
+  std::vector<fec::GfTerm> terms_;  // substitution and elimination terms
 };
 
 }  // namespace ppr::stream

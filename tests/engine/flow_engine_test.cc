@@ -88,6 +88,42 @@ TEST(FlowEngineTest, ReedSolomonIsDeterministicAndRejectsOddSymbols) {
   EXPECT_THROW(FlowEngine{odd}, std::invalid_argument);
 }
 
+// The widest shape the slot layout takes: deficits up to kDeficitCap
+// (64) over a 64-symbol block, so the fused solver rows run at full
+// width (64 coefficient bytes ahead of the payload) and RS parity fills
+// the same region. FinishFlow checks every recovered symbol.
+TEST(FlowEngineTest, FullWidthDeficitsDecode) {
+  for (const fec::CodecKind codec :
+       {fec::CodecKind::kRlnc, fec::CodecKind::kReedSolomon}) {
+    EngineConfig config = SmallConfig(5);
+    config.codec = codec;
+    config.n_source = 64;
+    config.max_deficit = 64;
+    config.slots_per_slab = 64;
+    FlowEngine engine(config);
+    for (FlowId f = 0; f < 96; ++f) engine.SpawnFlow(f);
+    engine.RunAll();
+    EXPECT_EQ(engine.stats().flows_completed, 96u)
+        << fec::CodecKindName(codec);
+    EXPECT_EQ(engine.active_flows(), 0u);
+  }
+}
+
+// A flow keeps its missing columns as 8-bit ids, so a block wider than
+// 256 symbols is rejected rather than silently never missing columns
+// 256 and up.
+TEST(FlowEngineTest, RejectsBlocksWiderThan256Symbols) {
+  EngineConfig config = SmallConfig();
+  config.n_source = 257;
+  EXPECT_THROW(FlowEngine{config}, std::invalid_argument);
+  config.n_source = 256;
+  config.slots_per_slab = 16;
+  FlowEngine engine(config);
+  for (FlowId f = 0; f < 32; ++f) engine.SpawnFlow(f);
+  engine.RunAll();
+  EXPECT_EQ(engine.stats().flows_completed, 32u);
+}
+
 TEST(FlowEngineTest, TrajectoryIsDeterministicPerSeed) {
   const auto run = [](std::uint64_t seed) {
     FlowEngine engine(SmallConfig(seed));

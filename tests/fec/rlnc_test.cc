@@ -34,6 +34,15 @@ TEST(RlncTest, RepairCoefficientsAreDeterministicPerSeed) {
   EXPECT_EQ(a.size(), 16u);
 }
 
+TEST(RlncTest, RepairCoefficientsIntoMatchesAllocatingForm) {
+  for (std::uint32_t seed : {0u, 1u, 42u, 0xFFFFFFFFu}) {
+    const auto want = RepairCoefficients(seed, 24);
+    std::vector<std::uint8_t> got(24);
+    RepairCoefficientsInto(seed, got);
+    EXPECT_EQ(got, want) << "seed=" << seed;
+  }
+}
+
 TEST(RlncTest, SystematicRoundtripNoLoss) {
   Rng rng(301);
   const auto block = RandomBlock(rng, 12, 20);
@@ -122,6 +131,35 @@ TEST(RlncTest, RejectsShapeMismatch) {
   EXPECT_THROW(RlncEncoder({{1, 2}, {3}}), std::invalid_argument);
 }
 
+// A source index past the block is a checked error in every build
+// type, and it leaves the basis untouched.
+TEST(RlncTest, AddSourceRejectsIndexPastTheBlock) {
+  RlncDecoder decoder(4, 8);
+  const std::vector<std::uint8_t> data(8, 0x5A);
+  EXPECT_THROW(decoder.AddSource(4, data), std::invalid_argument);
+  EXPECT_THROW(decoder.AddSource(7, data), std::invalid_argument);
+  EXPECT_EQ(decoder.rank(), 0u);
+  EXPECT_THROW(decoder.AddSource(0, std::vector<std::uint8_t>(7, 0)),
+               std::invalid_argument);
+  EXPECT_TRUE(decoder.AddSource(3, data));
+  EXPECT_EQ(decoder.rank(), 1u);
+}
+
+// Once complete, AddRepair returns false without looking at the
+// symbol, so surplus repairs cost nothing.
+TEST(RlncTest, AddRepairIsANoOpOnceComplete) {
+  Rng rng(311);
+  const auto block = RandomBlock(rng, 4, 8);
+  RlncDecoder decoder(4, 8);
+  for (std::size_t i = 0; i < 4; ++i) decoder.AddSource(i, block[i]);
+  ASSERT_TRUE(decoder.Complete());
+  EXPECT_FALSE(decoder.AddRepair(RepairSymbol{7, {1, 2, 3}}));
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(Decoded(decoder, i), block[i]);
+  RlncDecoder fresh(4, 8);
+  EXPECT_THROW(fresh.AddRepair(RepairSymbol{7, {1, 2, 3}}),
+               std::invalid_argument);
+}
+
 // Encode and decode must be bit-identical on every compiled GF(256)
 // backend: the same repair symbols on the wire, the same rank
 // progression, the same decoded block.
@@ -189,6 +227,25 @@ TEST(RlncTest, ResetReturnsToRankZeroAndDecodesAgain) {
   }
   ASSERT_TRUE(decoder.Complete());
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(Decoded(decoder, i), block[i]);
+}
+
+// Reset() keeps the row buffers for the next decode; every later
+// decode must be exactly as good as a fresh decoder's.
+TEST(RlncTest, ResetRecyclesRowsAcrossDecodes) {
+  Rng rng(929);
+  RlncDecoder decoder(9, 48);
+  for (int round = 0; round < 3; ++round) {
+    const auto block = RandomBlock(rng, 9, 48);
+    const RlncEncoder encoder(block);
+    for (std::uint32_t seed = 1; !decoder.Complete(); ++seed) {
+      decoder.AddRepair(encoder.MakeRepair(PartySeed(0, seed + round * 64)));
+    }
+    for (std::size_t i = 0; i < 9; ++i) {
+      EXPECT_EQ(Decoded(decoder, i), block[i]) << "round=" << round;
+    }
+    decoder.Reset();
+    EXPECT_EQ(decoder.rank(), 0u);
+  }
 }
 
 }  // namespace
