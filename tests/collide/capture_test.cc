@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "phy/chip_sequences.h"
@@ -137,6 +139,72 @@ TEST(DecodeXorNibbleTest, ToleratesLightChipNoise) {
   // The pair code's distance spectrum is weaker than the codebook's,
   // but 2-chip noise should still decode correctly most of the time.
   EXPECT_GE(correct, kTrials * 3 / 4);
+}
+
+// Brute-force pair search written against std::popcount, sharing no
+// code with the decoder: over every ordered pair (x, y) in order, the
+// first at the smallest distance. Its XOR is the decoder's answer,
+// since a minimal (x, y) with x > y comes after the minimal (y, x).
+std::uint8_t ReferenceXorNibble(const phy::ChipCodebook& codebook,
+                                phy::ChipWord word, int* distance,
+                                bool* xor_tie) {
+  int best = phy::kChipsPerSymbol + 1;
+  int best_xor = 0;
+  *xor_tie = false;
+  for (int x = 0; x < 16; ++x) {
+    for (int y = 0; y < 16; ++y) {
+      const int d =
+          std::popcount(word ^ codebook.Codeword(x) ^ codebook.Codeword(y));
+      if (d < best) {
+        best = d;
+        best_xor = x ^ y;
+        *xor_tie = false;
+      } else if (d == best && (x ^ y) != best_xor) {
+        *xor_tie = true;
+      }
+    }
+  }
+  *distance = best;
+  return static_cast<std::uint8_t>(best_xor);
+}
+
+TEST(DecodeXorNibbleTest, MatchesBruteForcePairSearch) {
+  const phy::ChipCodebook codebook;
+  // Every superposition of two codewords under every error pattern of
+  // weight <= 2, then random words.
+  std::vector<phy::ChipWord> words;
+  for (int x = 0; x < 16; ++x) {
+    for (int y = x; y < 16; ++y) {
+      const phy::ChipWord sum = codebook.Codeword(x) ^ codebook.Codeword(y);
+      for (int a = -1; a < phy::kChipsPerSymbol; ++a) {
+        const phy::ChipWord wa = a < 0 ? sum : sum ^ (phy::ChipWord{1} << a);
+        words.push_back(wa);
+        for (int b = a + 1; a >= 0 && b < phy::kChipsPerSymbol; ++b) {
+          words.push_back(wa ^ (phy::ChipWord{1} << b));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(words.size(), 136u * 529u);
+  Rng rng(29);
+  for (int trial = 0; trial < 20000; ++trial) {
+    words.push_back(static_cast<phy::ChipWord>(rng.Next()));
+  }
+  std::size_t xor_ties = 0;
+  for (const phy::ChipWord word : words) {
+    int distance = -1;
+    const std::uint8_t got = DecodeXorNibble(codebook, word, &distance);
+    int expected_distance = -1;
+    bool xor_tie = false;
+    const std::uint8_t expected =
+        ReferenceXorNibble(codebook, word, &expected_distance, &xor_tie);
+    ASSERT_EQ(got, expected) << "word " << word;
+    ASSERT_EQ(distance, expected_distance) << "word " << word;
+    if (xor_tie) ++xor_ties;
+  }
+  // Pairs at one distance with different XORs are common; the order
+  // rule above must be exercised.
+  EXPECT_GT(xor_ties, 1000u);
 }
 
 TEST(DrawCollisionEpisodeTest, OffsetsDistinctAndDeterministic) {

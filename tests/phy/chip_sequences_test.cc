@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace ppr::phy {
@@ -99,18 +102,75 @@ TEST(ChipCodebookTest, DecodeToleratesErrorsBelowHalfMinDistance) {
   }
 }
 
+// Nearest-codeword search written against std::popcount, sharing no
+// code with the decoder: the first symbol at the smallest distance.
+int ReferenceDecodeHard(const ChipCodebook& cb, ChipWord word,
+                        int* distance) {
+  int best_symbol = 0;
+  int best = kChipsPerSymbol + 1;
+  for (int s = 0; s < kNumSymbols; ++s) {
+    const int d = std::popcount(word ^ cb.Codeword(s));
+    if (d < best) {
+      best = d;
+      best_symbol = s;
+    }
+  }
+  *distance = best;
+  return best_symbol;
+}
+
+// Every chip word within three chip errors of a codeword.
+std::vector<ChipWord> WordsWithinThreeErrors(ChipWord center) {
+  std::vector<ChipWord> words{center};
+  for (int a = 0; a < kChipsPerSymbol; ++a) {
+    const ChipWord wa = center ^ (ChipWord{1} << a);
+    words.push_back(wa);
+    for (int b = a + 1; b < kChipsPerSymbol; ++b) {
+      const ChipWord wb = wa ^ (ChipWord{1} << b);
+      words.push_back(wb);
+      for (int c = b + 1; c < kChipsPerSymbol; ++c) {
+        words.push_back(wb ^ (ChipWord{1} << c));
+      }
+    }
+  }
+  return words;
+}
+
 TEST(ChipCodebookTest, DistanceReportedIsMinimumOverCodebook) {
   const ChipCodebook cb;
+  std::vector<ChipWord> words;
+  for (int s = 0; s < kNumSymbols; ++s) {
+    const auto near = WordsWithinThreeErrors(cb.Codeword(s));
+    ASSERT_EQ(near.size(), 5489u);  // 1 + 32 + 496 + 4960
+    words.insert(words.end(), near.begin(), near.end());
+  }
   Rng rng(22);
-  for (int trial = 0; trial < 200; ++trial) {
-    const auto word = static_cast<ChipWord>(rng.Next());
+  for (int trial = 0; trial < 20000; ++trial) {
+    words.push_back(static_cast<ChipWord>(rng.Next()));
+  }
+  std::size_t ties = 0;
+  for (const ChipWord word : words) {
     int reported = -1;
     const int symbol = cb.DecodeHard(word, &reported);
-    for (int s = 0; s < kNumSymbols; ++s) {
-      EXPECT_GE(ChipHamming(word, cb.Codeword(s)), reported);
-    }
+    int expected_distance = -1;
+    const int expected = ReferenceDecodeHard(cb, word, &expected_distance);
+    ASSERT_EQ(symbol, expected) << "word " << word;
+    ASSERT_EQ(reported, expected_distance) << "word " << word;
     EXPECT_EQ(ChipHamming(word, cb.Codeword(symbol)), reported);
+    // Ties resolve to the smallest symbol: no smaller one is as close.
+    int at_minimum = 0;
+    for (int s = 0; s < kNumSymbols; ++s) {
+      const int d = std::popcount(word ^ cb.Codeword(s));
+      ASSERT_GE(d, reported);
+      if (d == reported) {
+        ASSERT_GE(s, symbol) << "word " << word;
+        ++at_minimum;
+      }
+    }
+    if (at_minimum > 1) ++ties;
   }
+  // Random words land on ties often; the rule above must be exercised.
+  EXPECT_GT(ties, 1000u);
 }
 
 TEST(ChipCodebookTest, SoftDecodeAgreesWithHardOnCleanAntipodalInput) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+
+#include "common/crc.h"
 #include "sim/topology.h"
 
 namespace ppr::sim {
@@ -308,6 +311,77 @@ TEST(ReceiverModelTest, FadingCreatesBurstyErrorsOnMarginalLink) {
   const double conditional =
       static_cast<double>(wrong_adjacent) / static_cast<double>(wrong);
   EXPECT_GT(conditional, 3.0 * marginal);
+}
+
+// Every bit the delivery schemes read from a reception: the sync,
+// header and trailer flags, then each codeword's decoded symbol, hint
+// and correct flag.
+void AppendRecordBytes(const ReceptionRecord& r,
+                       std::vector<std::uint8_t>& bytes) {
+  bytes.push_back(static_cast<std::uint8_t>(r.sender));
+  bytes.push_back(static_cast<std::uint8_t>(r.seq));
+  bytes.push_back(static_cast<std::uint8_t>(
+      r.preamble_sync | (r.postamble_sync << 1) | (r.header_ok << 2) |
+      (r.trailer_ok << 3)));
+  for (const auto& cw : r.trace) {
+    bytes.push_back(cw.symbol);
+    bytes.push_back(cw.distance);
+    bytes.push_back(cw.correct ? 1 : 0);
+  }
+}
+
+TEST(ReceiverModelTest, DenseScheduleTracesArePinned) {
+  // Four senders around two receivers, each sending 12 frames at
+  // random starts in a window 24 frames long, so most frames overlap
+  // others, each 13 ms frame crosses fading segments, and impairment
+  // bursts are common. The CRC covers every record of both receivers.
+  // It pins the chip-decision loop (fading, SINR, chip errors,
+  // despreading): a change meant to keep behaviour leaves it alone.
+  const std::vector<Point> positions{{0, 0},  {30, 4}, {8, 26},
+                                     {36, 30}, {18, 14}, {22, 18}};
+  MediumConfig mconfig;
+  mconfig.seed = 5;
+  const RadioMedium medium(positions, mconfig);
+  ReceiverModelConfig config;
+  config.payload_octets = 400;
+  config.seed = 11;
+  config.impairment_rate = 3e-3;
+  const ReceiverModel model(medium, config);
+  const double chips = static_cast<double>(model.Layout().TotalChips());
+  const double frame_s = chips * kSecondsPerChip;
+
+  Rng rng(3);
+  std::vector<Transmission> schedule;
+  for (std::size_t sender = 0; sender < 4; ++sender) {
+    for (std::uint16_t seq = 0; seq < 12; ++seq) {
+      schedule.push_back(At(rng.UniformDouble(0.0, 24.0 * frame_s), sender,
+                            seq, chips));
+    }
+  }
+  std::sort(schedule.begin(), schedule.end(),
+            [](const Transmission& a, const Transmission& b) {
+              return a.start_s < b.start_s;
+            });
+
+  std::vector<std::uint8_t> bytes;
+  std::size_t receptions = 0, preamble_syncs = 0, wrong = 0;
+  for (std::size_t receiver : {4u, 5u}) {
+    model.ProcessReceiver(receiver, schedule, [&](const ReceptionRecord& r) {
+      ++receptions;
+      if (r.preamble_sync) ++preamble_syncs;
+      for (const auto& cw : r.trace) {
+        if (!cw.correct) ++wrong;
+      }
+      AppendRecordBytes(r, bytes);
+    });
+  }
+  // The schedule must exercise what it pins: syncs both held and
+  // lost, and broken codewords.
+  EXPECT_EQ(receptions, 96u);
+  EXPECT_GT(preamble_syncs, 10u);
+  EXPECT_LT(preamble_syncs, receptions - 10);
+  EXPECT_GT(wrong, 10000u);
+  EXPECT_EQ(Crc32(bytes), 0xD40E3728u);
 }
 
 TEST(ReceiverModelTest, PayloadRangesConsistentWithLayout) {
