@@ -138,6 +138,8 @@ ChipMedium::Reception ChipMedium::ReceiveAt(
   }
   Reception r;
   r.symbols.reserve(bits.size() / 4);
+  const phy::ChipErrorRate good(listener.params.chip_error_good);
+  const phy::ChipErrorRate bad(listener.params.chip_error_bad);
   if (correlation_ == CollisionCorrelation::kIndependent) {
     // The legacy Gilbert-Elliott channel, draw for draw, from this
     // listener's persistent Rng and Markov state.
@@ -152,11 +154,9 @@ ChipMedium::Reception ChipMedium::ReceiveAt(
         }
       }
       if (listener.in_bad) r.collided = true;
-      const double p = listener.in_bad ? listener.params.chip_error_bad
-                                       : listener.params.chip_error_good;
       const auto nibble = static_cast<std::uint8_t>(bits.ReadUint(i, 4));
-      r.symbols.push_back(
-          ChipTransmitNibble(codebook_, nibble, p, listener.rng));
+      r.symbols.push_back(ChipTransmitNibble(
+          codebook_, nibble, listener.in_bad ? bad : good, listener.rng));
       if (r.symbols.back().symbol != nibble) r.corrupted = true;
     }
     return r;
@@ -166,12 +166,11 @@ ChipMedium::Reception ChipMedium::ReceiveAt(
   // derived stream so no roster or schedule can reorder them.
   Rng flips(SeedForTransmission(tx_seed, listener_index + 1, 0));
   for (std::size_t i = 0; i < bits.size(); i += 4) {
-    const bool bad = shared_states[i / 4];
-    if (bad) r.collided = true;
-    const double p = bad ? listener.params.chip_error_bad
-                         : listener.params.chip_error_good;
+    const bool in_bad = shared_states[i / 4];
+    if (in_bad) r.collided = true;
     const auto nibble = static_cast<std::uint8_t>(bits.ReadUint(i, 4));
-    r.symbols.push_back(ChipTransmitNibble(codebook_, nibble, p, flips));
+    r.symbols.push_back(
+        ChipTransmitNibble(codebook_, nibble, in_bad ? bad : good, flips));
     if (r.symbols.back().symbol != nibble) r.corrupted = true;
   }
   return r;

@@ -6,16 +6,15 @@
 
 #include "arq/recovery_session.h"
 #include "common/crc.h"
-#include "phy/channel.h"
 
 namespace ppr::arq {
 
 phy::DecodedSymbol ChipTransmitNibble(const phy::ChipCodebook& codebook,
                                       std::uint8_t nibble,
-                                      double chip_error_p, Rng& rng) {
+                                      const phy::ChipErrorRate& rate,
+                                      Rng& rng) {
   const phy::ChipWord sent = codebook.Codeword(nibble);
-  const phy::ChipWord received =
-      sent ^ phy::SampleChipErrorMask(rng, chip_error_p);
+  const phy::ChipWord received = sent ^ phy::SampleChipErrorMask(rng, rate);
   phy::DecodedSymbol d;
   int distance = 0;
   d.symbol = static_cast<std::uint8_t>(codebook.DecodeHard(received, &distance));
@@ -131,7 +130,8 @@ BodyChannel MakeChipErrorChannel(const phy::ChipCodebook& codebook,
                                  double chip_error_p, Rng& rng) {
   Rng* rng_ptr = &rng;
   const phy::ChipCodebook* cb = &codebook;
-  return [cb, chip_error_p, rng_ptr](const BitVec& bits) {
+  const phy::ChipErrorRate rate(chip_error_p);
+  return [cb, rate, rng_ptr](const BitVec& bits) {
     if (bits.size() % 4 != 0) {
       throw std::invalid_argument("channel: bits not a multiple of 4");
     }
@@ -139,7 +139,7 @@ BodyChannel MakeChipErrorChannel(const phy::ChipCodebook& codebook,
     out.reserve(bits.size() / 4);
     for (std::size_t i = 0; i < bits.size(); i += 4) {
       const auto nibble = static_cast<std::uint8_t>(bits.ReadUint(i, 4));
-      out.push_back(ChipTransmitNibble(*cb, nibble, chip_error_p, *rng_ptr));
+      out.push_back(ChipTransmitNibble(*cb, nibble, rate, *rng_ptr));
     }
     return out;
   };
@@ -152,7 +152,9 @@ BodyChannel MakeGilbertElliottChannel(const phy::ChipCodebook& codebook,
   auto in_bad = std::make_shared<bool>(false);
   Rng* rng_ptr = &rng;
   const phy::ChipCodebook* cb = &codebook;
-  return [cb, params, rng_ptr, in_bad](const BitVec& bits) {
+  const phy::ChipErrorRate good(params.chip_error_good);
+  const phy::ChipErrorRate bad(params.chip_error_bad);
+  return [cb, params, good, bad, rng_ptr, in_bad](const BitVec& bits) {
     if (bits.size() % 4 != 0) {
       throw std::invalid_argument("channel: bits not a multiple of 4");
     }
@@ -164,10 +166,9 @@ BodyChannel MakeGilbertElliottChannel(const phy::ChipCodebook& codebook,
       } else {
         if (rng_ptr->Bernoulli(params.p_good_to_bad)) *in_bad = true;
       }
-      const double p =
-          *in_bad ? params.chip_error_bad : params.chip_error_good;
       const auto nibble = static_cast<std::uint8_t>(bits.ReadUint(i, 4));
-      out.push_back(ChipTransmitNibble(*cb, nibble, p, *rng_ptr));
+      out.push_back(
+          ChipTransmitNibble(*cb, nibble, *in_bad ? bad : good, *rng_ptr));
     }
     return out;
   };

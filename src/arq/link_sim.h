@@ -19,6 +19,7 @@
 #include "arq/recovery_strategy.h"
 #include "common/bitvec.h"
 #include "common/rng.h"
+#include "phy/channel.h"
 #include "phy/chip_sequences.h"
 #include "phy/despreader.h"
 
@@ -108,11 +109,12 @@ BodyChannel MakeGilbertElliottChannel(const phy::ChipCodebook& codebook,
 BitVec SymbolsToLogicalBits(const std::vector<phy::DecodedSymbol>& symbols);
 
 // Decodes one logical nibble through the codebook with each chip
-// flipped independently at `chip_error_p`: the primitive the synthetic
+// flipped independently at `rate`: the primitive the synthetic
 // channels above and the chip-level broadcast medium
 // (arq/chip_medium.h) share.
 phy::DecodedSymbol ChipTransmitNibble(const phy::ChipCodebook& codebook,
                                       std::uint8_t nibble,
-                                      double chip_error_p, Rng& rng);
+                                      const phy::ChipErrorRate& rate,
+                                      Rng& rng);
 
 }  // namespace ppr::arq

@@ -1,6 +1,5 @@
 #include "collide/capture.h"
 
-#include <bit>
 #include <limits>
 #include <stdexcept>
 
@@ -36,6 +35,7 @@ CollisionCapture SimulateCollisionCapture(const phy::ChipCodebook& codebook,
   }
   c.overlap_begin = offset;
   c.overlap_end = std::min(c.a_codewords, offset + c.b_codewords);
+  const phy::ChipErrorRate rate(chip_error_p);
 
   c.a_symbols.reserve(c.a_codewords);
   c.overlap_chips.reserve(c.OverlapCodewords());
@@ -45,7 +45,7 @@ CollisionCapture SimulateCollisionCapture(const phy::ChipCodebook& codebook,
       const std::uint8_t b_nib = NibbleAt(b_body, c.BIndexAt(i));
       const phy::ChipWord word = codebook.Codeword(a_nib) ^
                                  codebook.Codeword(b_nib) ^
-                                 phy::SampleChipErrorMask(rng, chip_error_p);
+                                 phy::SampleChipErrorMask(rng, rate);
       c.overlap_chips.push_back(word);
       // What a collision-oblivious despreader would output for this
       // position: the nearest codeword to the superposition — usually
@@ -59,12 +59,12 @@ CollisionCapture SimulateCollisionCapture(const phy::ChipCodebook& codebook,
       c.a_symbols.push_back(d);
     } else {
       c.a_symbols.push_back(
-          arq::ChipTransmitNibble(codebook, a_nib, chip_error_p, rng));
+          arq::ChipTransmitNibble(codebook, a_nib, rate, rng));
     }
   }
   for (std::size_t j = c.TailBegin(); j < c.b_codewords; ++j) {
-    c.b_tail.push_back(arq::ChipTransmitNibble(codebook, NibbleAt(b_body, j),
-                                               chip_error_p, rng));
+    c.b_tail.push_back(
+        arq::ChipTransmitNibble(codebook, NibbleAt(b_body, j), rate, rng));
   }
   return c;
 }
@@ -86,7 +86,7 @@ std::uint8_t DecodeXorNibble(const phy::ChipCodebook& codebook,
   for (int x = 0; x < 16; ++x) {
     const phy::ChipWord cx = codebook.Codeword(x);
     for (int y = x; y < 16; ++y) {
-      const int d = std::popcount(word ^ cx ^ codebook.Codeword(y));
+      const int d = phy::ChipHamming(word ^ cx, codebook.Codeword(y));
       if (d < best) {
         best = d;
         best_xor = static_cast<std::uint8_t>(x ^ y);

@@ -1,10 +1,11 @@
 #include "common/bitvec.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <string>
+
+#include "common/popcount.h"
 
 namespace ppr {
 namespace {
@@ -219,7 +220,7 @@ std::size_t BitVec::HammingDistance(const BitVec& other) const {
   }
   std::size_t d = 0;
   for (std::size_t w = 0; w < words_.size(); ++w) {
-    d += static_cast<std::size_t>(std::popcount(words_[w] ^ other.words_[w]));
+    d += static_cast<std::size_t>(ppr::PopCount(words_[w] ^ other.words_[w]));
   }
   return d;
 }
@@ -227,7 +228,7 @@ std::size_t BitVec::HammingDistance(const BitVec& other) const {
 std::size_t BitVec::PopCount() const {
   std::size_t n = 0;
   for (std::uint64_t w : words_) {
-    n += static_cast<std::size_t>(std::popcount(w));
+    n += static_cast<std::size_t>(ppr::PopCount(w));
   }
   return n;
 }

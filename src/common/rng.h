@@ -6,6 +6,7 @@
 // adequate for Monte-Carlo channel simulation.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 namespace ppr {
@@ -15,6 +16,8 @@ namespace ppr {
 // with <random> distributions, but the common draws (uniform, normal,
 // bernoulli) are provided as members to keep call sites terse and to
 // guarantee identical streams across standard library implementations.
+// The per-draw members are defined inline below: the chip-error
+// samplers call them several times per 32-chip codeword.
 class Rng {
  public:
   using result_type = std::uint64_t;
@@ -55,5 +58,32 @@ class Rng {
  private:
   std::uint64_t s_[4];
 };
+
+inline std::uint64_t Rng::Next() {
+  const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = std::rotl(s_[3], 45);
+  return result;
+}
+
+inline double Rng::UniformDouble() {
+  // 53 high-quality bits -> double in [0, 1).
+  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+}
+
+inline double Rng::UniformDouble(double lo, double hi) {
+  return lo + (hi - lo) * UniformDouble();
+}
+
+inline bool Rng::Bernoulli(double p) {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  return UniformDouble() < p;
+}
 
 }  // namespace ppr

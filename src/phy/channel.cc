@@ -5,6 +5,13 @@
 #include <numbers>
 
 namespace ppr::phy {
+namespace {
+
+// Below this chip error rate SampleChipErrorMask skips geometrically
+// from one error to the next; at and above it, one Bernoulli per chip.
+constexpr double kGeometricBelow = 0.1;
+
+}  // namespace
 
 double QFunction(double x) { return 0.5 * std::erfc(x / std::numbers::sqrt2); }
 
@@ -57,18 +64,22 @@ void MixInto(SampleVec& mix, const SampleVec& signal, std::size_t offset,
   }
 }
 
-std::uint32_t SampleChipErrorMask(Rng& rng, double p) {
+ChipErrorRate::ChipErrorRate(double p)
+    : p_(p),
+      log1mp_(p > 0.0 && p < kGeometricBelow ? std::log1p(-p) : 0.0) {}
+
+std::uint32_t SampleChipErrorMask(Rng& rng, const ChipErrorRate& rate) {
+  const double p = rate.p();
   if (p <= 0.0) return 0;
   if (p >= 1.0) return 0xFFFFFFFFu;
   std::uint32_t mask = 0;
-  if (p < 0.1) {
+  if (p < kGeometricBelow) {
     // Geometric skipping: jump straight to the next error position.
-    const double log1mp = std::log1p(-p);
     double position = 0.0;
     for (;;) {
       double u = rng.UniformDouble();
       if (u < 1e-300) u = 1e-300;
-      position += std::floor(std::log(u) / log1mp) + 1.0;
+      position += std::floor(std::log(u) / rate.log1mp()) + 1.0;
       if (position > 32.0) break;
       mask |= std::uint32_t{1} << (static_cast<std::uint32_t>(position) - 1);
     }

@@ -48,9 +48,27 @@ void MixInto(SampleVec& mix, const SampleVec& signal, std::size_t offset,
 // to the receiver sample grid.
 SampleVec FractionalDelay(const SampleVec& signal, double delay_samples);
 
+// A per-chip flip probability in the form SampleChipErrorMask draws
+// from. Below 0.1 the sampler jumps between error positions with
+// geometric skips of scale log1p(-p); that logarithm is taken once
+// here, where a caller chooses p, not once per 32-chip draw.
+class ChipErrorRate {
+ public:
+  explicit ChipErrorRate(double p);
+
+  double p() const { return p_; }
+  // log1p(-p) when the sampler skips geometrically (0 < p < 0.1).
+  double log1mp() const { return log1mp_; }
+
+ private:
+  double p_;
+  double log1mp_;
+};
+
 // Draws a 32-chip error mask where each chip flips independently with
-// probability `p`. Used by the chip-level testbed simulator; the
-// geometric-skip sampler keeps the common low-error-rate case cheap.
-std::uint32_t SampleChipErrorMask(Rng& rng, double p);
+// probability `rate.p()` (none when p <= 0, all when p >= 1). Used by
+// the chip-level simulators; the geometric-skip sampler keeps the
+// common low-error-rate case cheap.
+std::uint32_t SampleChipErrorMask(Rng& rng, const ChipErrorRate& rate);
 
 }  // namespace ppr::phy

@@ -112,6 +112,4 @@ int ChipCodebook::MinPairwiseDistance() const {
   return min_d;
 }
 
-int ChipHamming(ChipWord a, ChipWord b) { return std::popcount(a ^ b); }
-
 }  // namespace ppr::phy

@@ -13,6 +13,7 @@
 #include <cstdint>
 
 #include "common/bitvec.h"
+#include "common/popcount.h"
 
 namespace ppr::phy {
 
@@ -59,6 +60,6 @@ class ChipCodebook {
 };
 
 // Hamming distance between two packed chip words.
-int ChipHamming(ChipWord a, ChipWord b);
+constexpr int ChipHamming(ChipWord a, ChipWord b) { return PopCount(a ^ b); }
 
 }  // namespace ppr::phy

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cassert>
 #include <limits>
 #include <stdexcept>
+
+#include "common/popcount.h"
 
 namespace ppr::phy {
 namespace {
@@ -27,9 +28,9 @@ std::array<std::array<Branch, 2>, kStates> BuildTrellis() {
       const std::uint32_t reg = (s << 1) | b;
       Branch br;
       br.out0 = static_cast<std::uint8_t>(
-          std::popcount(reg & ConvolutionalCode::kG0) & 1u);
+          PopCount(reg & ConvolutionalCode::kG0) & 1u);
       br.out1 = static_cast<std::uint8_t>(
-          std::popcount(reg & ConvolutionalCode::kG1) & 1u);
+          PopCount(reg & ConvolutionalCode::kG1) & 1u);
       br.next = static_cast<std::uint8_t>(reg & (kStates - 1));
       trellis[s][b] = br;
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 #include "phy/channel.h"
 #include "phy/spreader.h"
@@ -43,6 +44,14 @@ double FadingGain(std::uint64_t base, std::size_t tx, std::size_t rx,
   const double y = rng.Normal(0.0, sigma);
   return x * x + y * y;  // E[gain] == 1
 }
+
+// One link's FadingGain, drawn once per coherence segment: the gain is
+// a pure function of the segment, and a reception's codewords walk the
+// segments in order, so each segment's draw serves ~500 codewords.
+struct FadingMemo {
+  std::int64_t segment = std::numeric_limits<std::int64_t>::min();
+  double gain = 0.0;
+};
 
 }  // namespace
 
@@ -115,6 +124,7 @@ void ReceiverModel::ProcessReceiver(
     struct Interferer {
       double start, end, power_mw;
       std::size_t sender;
+      FadingMemo fading;
     };
     std::vector<Interferer> interferers;
     for (std::size_t j = ti; j-- > 0;) {
@@ -127,14 +137,16 @@ void ReceiverModel::ProcessReceiver(
       }
       if (o.sender == t.sender || o.sender == receiver) continue;
       interferers.push_back({o.start_s, o.End(),
-                             medium_.RxPowerMw(o.sender, receiver), o.sender});
+                             medium_.RxPowerMw(o.sender, receiver), o.sender,
+                             {}});
     }
     for (std::size_t j = ti + 1; j < schedule.size(); ++j) {
       const Transmission& o = schedule[j];
       if (o.start_s >= t.End()) break;
       if (o.sender == t.sender || o.sender == receiver) continue;
       interferers.push_back({o.start_s, o.End(),
-                             medium_.RxPowerMw(o.sender, receiver), o.sender});
+                             medium_.RxPowerMw(o.sender, receiver), o.sender,
+                             {}});
     }
 
     // Per-link impairment-burst rate (lognormal across links) and the
@@ -157,24 +169,39 @@ void ReceiverModel::ProcessReceiver(
     record.trace.resize(num_cws);
     const double coherence =
         config_.fading_coherence_s > 0.0 ? config_.fading_coherence_s : 1.0;
+    const auto fading_gain = [&](FadingMemo& memo, std::size_t tx,
+                                 std::int64_t segment) {
+      if (memo.segment != segment) {
+        memo.segment = segment;
+        memo.gain = FadingGain(config_.seed, tx, receiver, segment,
+                               config_.ricean_k);
+      }
+      return memo.gain;
+    };
+    FadingMemo signal_fading;
+    // The SINR changes only at fading-segment and overlap edges, the
+    // residual rate only at burst edges: map the SINR through erfc, and
+    // build the sampler's rate, only when its input differs from the
+    // previous codeword's.
+    double sinr_seen = std::numeric_limits<double>::quiet_NaN();
+    double p_sinr = 0.0;
+    phy::ChipErrorRate chip_rate(0.0);
     for (std::size_t cw = 0; cw < num_cws; ++cw) {
       const double w0 = t.start_s + static_cast<double>(cw) * kCodewordSeconds;
       const double w1 = w0 + kCodewordSeconds;
       const auto segment = static_cast<std::int64_t>(w0 / coherence);
       double p_signal_mw = p_signal_avg_mw;
       if (config_.fading_enabled) {
-        p_signal_mw *= FadingGain(config_.seed, t.sender, receiver, segment,
-                                  config_.ricean_k);
+        p_signal_mw *= fading_gain(signal_fading, t.sender, segment);
       }
       double interference_mw = 0.0;
-      for (const auto& intf : interferers) {
+      for (auto& intf : interferers) {
         const double overlap =
             std::min(w1, intf.end) - std::max(w0, intf.start);
         if (overlap > 0.0) {
           double p = intf.power_mw;
           if (config_.fading_enabled) {
-            p *= FadingGain(config_.seed, intf.sender, receiver, segment,
-                            config_.ricean_k);
+            p *= fading_gain(intf.fading, intf.sender, segment);
           }
           interference_mw += p * (overlap / kCodewordSeconds);
         }
@@ -182,7 +209,10 @@ void ReceiverModel::ProcessReceiver(
       const double sinr =
           p_signal_mw /
           (noise_mw + config_.interference_penalty * interference_mw);
-      const double p_sinr = phy::ChipErrorProbability(sinr);
+      if (sinr != sinr_seen) {
+        sinr_seen = sinr;
+        p_sinr = phy::ChipErrorProbability(sinr);
+      }
       // Advance the impairment burst state and combine the error
       // processes (independent): SINR-driven errors plus either the
       // clean-state floor or the in-burst error rate.
@@ -194,11 +224,12 @@ void ReceiverModel::ProcessReceiver(
       const double p_res =
           impaired ? config_.impaired_chip_error : config_.good_chip_floor;
       const double p_chip = p_sinr + p_res - p_sinr * p_res;
+      if (p_chip != chip_rate.p()) chip_rate = phy::ChipErrorRate(p_chip);
 
       const std::uint8_t true_sym = true_symbols[cw];
       const phy::ChipWord sent = codebook_.Codeword(true_sym);
       const phy::ChipWord received =
-          sent ^ phy::SampleChipErrorMask(rx_rng, p_chip);
+          sent ^ phy::SampleChipErrorMask(rx_rng, chip_rate);
       int distance = 0;
       const int decoded = codebook_.DecodeHard(received, &distance);
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <numbers>
 
@@ -175,9 +177,52 @@ TEST(FractionalDelayTest, PreservesTotalMassLinearly) {
 
 TEST(SampleChipErrorMaskTest, EdgeProbabilities) {
   Rng rng(64);
-  EXPECT_EQ(SampleChipErrorMask(rng, 0.0), 0u);
-  EXPECT_EQ(SampleChipErrorMask(rng, 1.0), 0xFFFFFFFFu);
-  EXPECT_EQ(SampleChipErrorMask(rng, -0.5), 0u);
+  EXPECT_EQ(SampleChipErrorMask(rng, ChipErrorRate(0.0)), 0u);
+  EXPECT_EQ(SampleChipErrorMask(rng, ChipErrorRate(1.0)), 0xFFFFFFFFu);
+  EXPECT_EQ(SampleChipErrorMask(rng, ChipErrorRate(1.5)), 0xFFFFFFFFu);
+  EXPECT_EQ(SampleChipErrorMask(rng, ChipErrorRate(-0.5)), 0u);
+  // The edges draw nothing, so the stream is where it started.
+  EXPECT_EQ(rng.Next(), Rng(64).Next());
+}
+
+// The sampler as it read when it took `p` on every call and took the
+// logarithm there: the reference the precomputed rate must reproduce
+// draw for draw.
+std::uint32_t ReferenceChipErrorMask(Rng& rng, double p) {
+  if (p <= 0.0) return 0;
+  if (p >= 1.0) return 0xFFFFFFFFu;
+  std::uint32_t mask = 0;
+  if (p < 0.1) {
+    const double log1mp = std::log1p(-p);
+    double position = 0.0;
+    for (;;) {
+      double u = rng.UniformDouble();
+      if (u < 1e-300) u = 1e-300;
+      position += std::floor(std::log(u) / log1mp) + 1.0;
+      if (position > 32.0) break;
+      mask |= std::uint32_t{1} << (static_cast<std::uint32_t>(position) - 1);
+    }
+  } else {
+    for (int i = 0; i < 32; ++i) {
+      if (rng.Bernoulli(p)) mask |= std::uint32_t{1} << i;
+    }
+  }
+  return mask;
+}
+
+TEST(SampleChipErrorMaskTest, RateFormDrawsThePerCallFormulasMasks) {
+  // Both sampler branches and the 0.1 boundary between them.
+  for (const double p : {1e-4, 0.008, 0.0999, 0.1, 0.3}) {
+    const ChipErrorRate rate(p);
+    for (const std::uint64_t seed : {1u, 66u, 4242u}) {
+      Rng a(seed), b(seed);
+      for (int i = 0; i < 5000; ++i) {
+        ASSERT_EQ(SampleChipErrorMask(a, rate), ReferenceChipErrorMask(b, p))
+            << "p " << p << " seed " << seed << " draw " << i;
+      }
+      EXPECT_EQ(a.Next(), b.Next()) << "p " << p << " seed " << seed;
+    }
+  }
 }
 
 // The sampled error rate must match p across both sampler branches
@@ -186,12 +231,13 @@ class ChipErrorMaskTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ChipErrorMaskTest, MeanErrorRateMatchesP) {
   const double p = GetParam();
+  const ChipErrorRate rate(p);
   Rng rng(65);
   std::size_t errors = 0;
   const int trials = 40000;
   for (int i = 0; i < trials; ++i) {
     errors += static_cast<std::size_t>(
-        std::popcount(SampleChipErrorMask(rng, p)));
+        std::popcount(SampleChipErrorMask(rng, rate)));
   }
   const double measured =
       static_cast<double>(errors) / (32.0 * trials);

@@ -152,7 +152,7 @@ TEST(ToLogicalNibbleOrderTest, RejectsOddCount) {
 class ChipErrorSweepTest : public ::testing::TestWithParam<double> {};
 
 TEST_P(ChipErrorSweepTest, HintSeparatesCorrectFromIncorrect) {
-  const double p = GetParam();
+  const ChipErrorRate rate(GetParam());
   const ChipCodebook cb;
   Rng rng(47);
   double correct_hint_sum = 0.0;
@@ -163,7 +163,7 @@ TEST_P(ChipErrorSweepTest, HintSeparatesCorrectFromIncorrect) {
   for (int trial = 0; trial < 3000; ++trial) {
     const auto sym = static_cast<std::uint8_t>(rng.UniformInt(16));
     const ChipWord sent = cb.Codeword(sym);
-    const ChipWord received = sent ^ SampleChipErrorMask(rng, p);
+    const ChipWord received = sent ^ SampleChipErrorMask(rng, rate);
     int distance = 0;
     const int decoded = cb.DecodeHard(received, &distance);
     if (decoded == sym) {
