@@ -13,6 +13,7 @@
 #include "arq/recovery_strategy.h"
 #include "collide/capture.h"
 #include "collide/runner.h"
+#include "common/crc.h"
 #include "common/rng.h"
 #include "phy/chip_sequences.h"
 
@@ -183,6 +184,94 @@ TEST(CollisionRunnerTest, RejectsCodewordWidthOtherThanFour) {
                                             CollisionListenerConfig{},
                                             /*resolve=*/true),
                std::invalid_argument);
+}
+
+void AppendWord(std::vector<std::uint8_t>& bytes, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    bytes.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+  }
+}
+
+// Every field of 600 exchanges: 100 seeds x chip noise {0, 0.002,
+// 0.01} x resolve on and off. The noise hits both captures and the
+// clean state of a bursty repair channel, and a two-round cap leaves
+// some exchanges unfinished. The CRC pins the whole exchange (capture,
+// stripping, banking, feedback, repair and their accounting): a change
+// meant to keep behaviour leaves it alone.
+TEST(CollisionRunnerTest, OutcomesArePinned) {
+  arq::PpArqConfig config;
+  config.recovery = arq::RecoveryMode::kCollisionResolve;
+  config.codewords_per_fec_symbol = 4;
+  const auto strategy = arq::MakeRecoveryStrategy(config);
+  const phy::ChipCodebook codebook;
+  CollisionListenerConfig listener_config;
+  listener_config.codewords_per_fec_symbol = 4;
+
+  std::vector<std::uint8_t> bytes;
+  std::size_t failed = 0, no_rounds = 0, two_rounds = 0, pairs = 0;
+  std::size_t abandoned = 0, rank_gained = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    Rng payload_rng(seed);
+    BitVec payload;
+    for (std::size_t i = 0; i < 40; ++i) {
+      payload.AppendUint(payload_rng.UniformInt(256), 8);
+    }
+    for (const double noise : {0.0, 0.002, 0.01}) {
+      for (const bool resolve : {true, false}) {
+        CollisionEpisodeParams params;
+        params.b_octets = 16 + seed % 40;
+        params.chip_error_p = noise;
+        Rng episode_rng(seed * 1000 + 7);
+        Rng channel_rng(seed * 2000 + 11);
+        arq::GilbertElliottParams repair;
+        repair.chip_error_good = noise;
+        repair.chip_error_bad = 0.3;
+        repair.p_good_to_bad = 0.05;
+        repair.p_bad_to_good = 0.1;
+        const auto channel =
+            arq::MakeGilbertElliottChannel(codebook, repair, channel_rng);
+        const auto outcome = RunCollisionRecoveryExchange(
+            payload, config, *strategy, channel, params, episode_rng,
+            listener_config, resolve, /*max_rounds=*/2);
+        const arq::ArqRunStats& totals = outcome.totals;
+        AppendWord(bytes, totals.success);
+        AppendWord(bytes, totals.data_transmissions);
+        AppendWord(bytes, totals.forward_bits);
+        AppendWord(bytes, totals.feedback_bits);
+        AppendWord(bytes, totals.retransmission_bits.size());
+        for (const auto bits : totals.retransmission_bits) {
+          AppendWord(bytes, bits);
+        }
+        AppendWord(bytes, outcome.rounds);
+        AppendWord(bytes, outcome.resolved_pair);
+        AppendWord(bytes, outcome.equations_banked);
+        AppendWord(bytes, outcome.rank_gained);
+        const CollisionStats& c = outcome.collide;
+        for (const std::size_t v :
+             {c.episodes_seen, c.codewords_stripped, c.equations_banked,
+              c.cross_cancelled, c.episodes_abandoned, c.strip_rounds,
+              c.pairs_resolved}) {
+          AppendWord(bytes, v);
+        }
+        failed += !totals.success;
+        no_rounds += outcome.rounds == 0;
+        two_rounds += outcome.rounds == 2;
+        pairs += outcome.resolved_pair;
+        abandoned += c.episodes_abandoned;
+        rank_gained += outcome.rank_gained;
+      }
+    }
+  }
+  // The sweep must exercise what it pins: exchanges finished by the
+  // banked equations alone, by one round and by two, unfinished ones,
+  // and abandoned stripping.
+  EXPECT_GT(failed, 10u);
+  EXPECT_GT(no_rounds, 100u);
+  EXPECT_GT(two_rounds, 100u);
+  EXPECT_GT(pairs, 100u);
+  EXPECT_GT(abandoned, 0u);
+  EXPECT_GT(rank_gained, 1000u);
+  EXPECT_EQ(Crc32(bytes), 0x5FCF2B84u);
 }
 
 TEST(CollisionListenerTest, StatsAccumulateAcrossEpisodes) {
