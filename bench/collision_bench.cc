@@ -128,8 +128,8 @@ LevelResult RunLevel(const BenchShape& shape, double contention) {
           listener_config, resolve);
       LegResult& leg = resolve ? level.resolve : level.discard;
       ++leg.episodes;
-      leg.completed += outcome.totals.success;
-      for (const auto bits : outcome.totals.retransmission_bits) {
+      leg.completed += outcome.stats.totals.success;
+      for (const auto bits : outcome.stats.totals.retransmission_bits) {
         leg.repair_bits += bits;
       }
       leg.rank_gained += outcome.rank_gained;

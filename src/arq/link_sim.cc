@@ -1,6 +1,5 @@
 #include "arq/link_sim.h"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -61,68 +60,6 @@ ArqRunStats RunWholePacketArq(const BitVec& payload_bits,
       return stats;
     }
   }
-  return stats;
-}
-
-ArqRunStats RunFragmentedArq(const BitVec& payload_bits,
-                             std::size_t num_fragments,
-                             const BodyChannel& channel,
-                             std::size_t max_rounds) {
-  if (payload_bits.size() % 8 != 0) {
-    throw std::invalid_argument("RunFragmentedArq: payload must be octets");
-  }
-  const std::size_t payload_octets = payload_bits.size() / 8;
-  if (num_fragments == 0 || payload_octets == 0) {
-    throw std::invalid_argument(
-        "RunFragmentedArq: needs at least one fragment and one octet");
-  }
-  num_fragments = std::min(num_fragments, payload_octets);
-
-  // Fragment extents (octet-aligned, as even as possible).
-  struct Frag {
-    std::size_t bit_offset, bit_len;
-    bool have = false;
-  };
-  std::vector<Frag> frags;
-  const std::size_t base = payload_octets / num_fragments;
-  const std::size_t rem = payload_octets % num_fragments;
-  std::size_t octet = 0;
-  for (std::size_t f = 0; f < num_fragments; ++f) {
-    const std::size_t size = base + (f < rem ? 1 : 0);
-    frags.push_back(Frag{octet * 8, size * 8, false});
-    octet += size;
-  }
-
-  ArqRunStats stats;
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    bool all = true;
-    for (const auto& f : frags) all = all && f.have;
-    if (all) {
-      stats.success = true;
-      return stats;
-    }
-
-    ++stats.data_transmissions;
-    std::size_t round_bits = 0;
-    for (auto& f : frags) {
-      if (f.have) continue;
-      BitVec unit = payload_bits.Slice(f.bit_offset, f.bit_len);
-      unit.AppendUint(Crc32Bits(payload_bits.Slice(f.bit_offset, f.bit_len)),
-                      32);
-      round_bits += unit.size();
-      const BitVec received = SymbolsToLogicalBits(channel(unit));
-      const BitVec frag = received.Slice(0, received.size() - 32);
-      const auto crc = static_cast<std::uint32_t>(
-          received.ReadUint(received.size() - 32, 32));
-      if (Crc32Bits(frag) == crc) f.have = true;
-    }
-    stats.forward_bits += round_bits;
-    if (round > 0) stats.retransmission_bits.push_back(round_bits);
-    stats.feedback_bits += num_fragments;  // bitmap
-  }
-  bool all = true;
-  for (const auto& f : frags) all = all && f.have;
-  stats.success = all;
   return stats;
 }
 

@@ -76,14 +76,6 @@ ArqRunStats RunWholePacketArq(const BitVec& payload_bits,
                               const BodyChannel& channel,
                               std::size_t max_rounds = 32);
 
-// Fragmented-CRC ARQ: per-fragment CRC-32s; each round retransmits only
-// the fragments that have not yet verified; feedback is a one-bit-per-
-// fragment bitmap.
-ArqRunStats RunFragmentedArq(const BitVec& payload_bits,
-                             std::size_t num_fragments,
-                             const BodyChannel& channel,
-                             std::size_t max_rounds = 32);
-
 // Memoryless channel: every chip flips with probability `chip_error_p`;
 // codewords decode through the real despreader, so hints are genuine
 // Hamming distances.

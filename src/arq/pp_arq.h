@@ -44,9 +44,11 @@ enum class RecoveryMode {
   // split by observed delivery rate (arq/recovery_session.h runs the
   // multi-party exchange and schedules relay airtime).
   kRelayCodedRepair,
-  // Coded repair plus a collision-resolution listener (src/collide/):
-  // the receiver additionally accepts GF(256) equations distilled from
-  // collided receptions — fully stripped ZigZag symbols as unit
+  // Coded repair plus a collision-resolution listener (src/collide/).
+  // The strategy is kCodedRepair's; the mode selects collision
+  // episodes, whose listener joins the session as a party and hands
+  // the destination GF(256) equations distilled from collided
+  // receptions (kEquations) — fully stripped ZigZag symbols as unit
   // equations, unresolved superpositions as two-term cross-cancelled
   // equations — banked under a collision-provenance tag so a poisoned
   // stripping chain is evicted as a group.

@@ -93,6 +93,7 @@ void RecoverySession::TransmitInitial(PartyId source, const BitVec& body) {
 }
 
 void RecoverySession::Account(const SessionMessage& msg) {
+  if (msg.type == SessionMessageType::kEquations) return;  // off the air
   PartyTraffic& party = stats_.parties.at(msg.from);
   if (msg.type == SessionMessageType::kFeedback) {
     stats_.totals.feedback_bits += msg.feedback_wire.size();
@@ -127,10 +128,11 @@ void RecoverySession::Account(const SessionMessage& msg) {
   });
 }
 
-// Broadcast delivery order: non-relay parties in id order (the source
-// always answers feedback before any relay, as in the pre-scheduling
-// engine), then relays ranked ExOR-style — best self-reported quality
-// first, ties by id (stable sort over an id-ordered list).
+// Broadcast delivery order: non-relay parties (source, listener) in id
+// order (the source always answers feedback before any relay, as in the
+// pre-scheduling engine), then relays ranked ExOR-style — best
+// self-reported quality first, ties by id (stable sort over an
+// id-ordered list).
 std::vector<PartyId> RecoverySession::RecipientOrder(
     const SessionMessage& msg) {
   std::vector<PartyId> order;
@@ -152,9 +154,9 @@ std::vector<PartyId> RecoverySession::RecipientOrder(
   return order;
 }
 
-void RecoverySession::Deliver(const SessionMessage& msg) {
+void RecoverySession::Deliver(SessionMessage msg) {
   std::deque<SessionMessage> queue;
-  queue.push_back(msg);
+  queue.push_back(std::move(msg));
   // A routing hop can only shrink the message set back toward the
   // destination, but guard against a misbehaving participant pair
   // ping-ponging forever within one round.
@@ -166,6 +168,9 @@ void RecoverySession::Deliver(const SessionMessage& msg) {
     }
     SessionMessage m = std::move(queue.front());
     queue.pop_front();
+    if (m.type == SessionMessageType::kEquations && m.to == kBroadcastId) {
+      throw std::logic_error("RecoverySession: equations need an addressee");
+    }
     Account(m);
     for (const PartyId to : RecipientOrder(m)) {
       const bool budgeted_relay =
@@ -181,6 +186,8 @@ void RecoverySession::Deliver(const SessionMessage& msg) {
         if (budgeted_relay) {
           delivered.relay_budget_bits = round_budget_left_;
         }
+      } else if (m.type == SessionMessageType::kEquations) {
+        delivered.equations = std::move(m.equations);  // one addressee
       } else {
         // Repair bits cross this recipient's edge channel; no channel
         // means the hop is simply out of range.
@@ -225,6 +232,18 @@ void RecoverySession::Deliver(const SessionMessage& msg) {
 }
 
 bool RecoverySession::RunRound(DestinationParticipant& destination) {
+  round_budget_left_ = relay_airtime_budget_;
+  round_relay_bits_ = 0;
+  // The other parties open first, in id order, so what a listener hands
+  // the destination is banked before the destination sizes its
+  // feedback.
+  for (PartyId id = 0; id < parties_.size(); ++id) {
+    if (id == destination_id_) continue;
+    for (auto& msg : parties_[id]->StartRound()) {
+      msg.from = id;
+      Deliver(std::move(msg));
+    }
+  }
   auto opening = destination.StartRound();
   if (opening.empty()) {
     stats_.totals.success = true;
@@ -232,13 +251,11 @@ bool RecoverySession::RunRound(DestinationParticipant& destination) {
     return false;
   }
   ++stats_.rounds;
-  round_budget_left_ = relay_airtime_budget_;
-  round_relay_bits_ = 0;
   obs::Count("arq.session.rounds");
   const std::uint64_t round_start_ns = obs::NowNs();
   for (auto& msg : opening) {
     msg.from = destination_id_;
-    Deliver(msg);
+    Deliver(std::move(msg));
   }
   const std::uint64_t round_ns = obs::NowNs() - round_start_ns;
   obs::ObserveDuration("arq.session.round_ns", round_ns);

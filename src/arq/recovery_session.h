@@ -1,27 +1,40 @@
 // Multi-party recovery session: the message-routed protocol engine that
-// runs every recovery strategy's participants.
+// runs every recovery exchange's participants.
 //
 // A session is a set of RecoveryParticipants — one source, one
-// destination, any number of overhearing relays — connected by directed
+// destination, any number of overhearing relays and, in the collision
+// exchange, a listener beside the destination — connected by directed
 // edges, each with its own BodyChannel (loss process). Participants
 // never see the topology: they ingest typed, addressed SessionMessages
-// (kFeedback, kRepair) and emit messages in response; the RecoverySession
-// engine routes every emitted message, pushing repair bits through the
-// per-edge channel of each (from, to) hop so a relay->destination hop
-// suffers its own corruption, independent of the source's.
+// and emit messages in response; the RecoverySession engine routes
+// every emitted message. Three message types:
 //
-// One round = the destination opens with its feedback (broadcast:
-// every other party hears it for free — feedback frames are tiny and
-// modeled reliable, as in arq/link_sim.h), then every reply is routed
-// until the round drains: the source answers feedback with repair, a
-// relay answers with its own repair, the destination ingests both.
+//   kFeedback — the destination's control wire, broadcast, reliable and
+//     charged by its size.
+//   kRepair — repair frames, charged as one data transmission; their
+//     bits cross the per-edge channel of each (from, to) hop, so a
+//     relay->destination hop suffers its own corruption, independent
+//     of the source's.
+//   kEquations — GF(256) rows (collide::CollisionEquation) a listener
+//     beside the destination distilled from collided receptions it
+//     already heard. Delivered to its addressee only, charged nothing,
+//     and drawn through no channel: it never crosses the air.
+//
+// One round = every non-destination party opens, in id order (only a
+// listener emits here: its equations, in the first round), then the
+// destination opens last with its feedback (broadcast: every other
+// party hears it for free — feedback frames are tiny and modeled
+// reliable, as in arq/link_sim.h), then every reply is routed until the
+// round drains: the source answers feedback with repair, a relay
+// answers with its own repair, the destination ingests both.
 //
 // The two-party configuration is the paper's sender/receiver loop: each
 // round one feedback wire, one repair message (one data transmission,
 // even with no frames), its frames crossing the one channel in order.
 // That keeps kChunkRetransmit bit-for-bit identical to the paper's
 // protocol. Any number of relays plug in as additional participants
-// and edges.
+// and edges, and the collision exchange (collide/runner.h) adds one
+// listener.
 //
 // Relay airtime scheduling (ExOR-style): when a per-round relay
 // airtime budget is set, the engine services relay parties in
@@ -31,8 +44,8 @@
 // truncates its burst to fit and defers outright when nothing remains,
 // so a dense overhearer set cannot all stream at once — exactly the
 // deferral discipline ExOR's forwarder list imposes on opportunistic
-// next hops. The source is never budgeted: its repair stream is the
-// correctness backstop.
+// next hops. The source and the listener are never budgeted: the
+// source's repair stream is the correctness backstop.
 #pragma once
 
 #include <cstddef>
@@ -44,6 +57,7 @@
 
 #include "arq/link_sim.h"
 #include "arq/recovery_strategy.h"
+#include "collide/equations.h"
 #include "common/bitvec.h"
 
 namespace ppr::arq {
@@ -53,8 +67,8 @@ inline constexpr PartyId kBroadcastId = static_cast<PartyId>(-1);
 // "No budget": an effectively infinite per-round relay airtime budget.
 inline constexpr std::size_t kNoAirtimeBudget = static_cast<std::size_t>(-1);
 
-enum class PartyRole { kSource, kDestination, kRelay };
-enum class SessionMessageType { kFeedback, kRepair };
+enum class PartyRole { kSource, kDestination, kRelay, kListener };
+enum class SessionMessageType { kFeedback, kRepair, kEquations };
 
 // A message as emitted by a participant. `from` is stamped by the
 // engine; `to` defaults to broadcast (every other party).
@@ -64,8 +78,10 @@ struct SessionMessage {
   PartyId to = kBroadcastId;
   BitVec feedback_wire;             // kFeedback: reliable control bits
   std::vector<RepairFrame> frames;  // kRepair: bits cross the edge channel
+  // kEquations: rows for the addressee, handed over off the air.
+  std::vector<collide::CollisionEquation> equations;
   // Airtime of the whole message, descriptors included. Ignored for
-  // kFeedback (the wire's size is the airtime).
+  // kFeedback (the wire's size is the airtime) and kEquations.
   std::size_t wire_bits = 0;
 };
 
@@ -77,6 +93,7 @@ struct DeliveredMessage {
   PartyId to = kBroadcastId;
   BitVec feedback_wire;
   std::vector<ReceivedRepairFrame> frames;
+  std::vector<collide::CollisionEquation> equations;
   // Relay parties only: the round's still-unspent relay airtime (bits)
   // at the moment this message reached them. A budgeted relay must
   // keep its repair reply's wire_bits within this, truncating or
@@ -95,8 +112,10 @@ class RecoveryParticipant {
   // no edge from the source are never called.
   virtual void IngestInitial(const std::vector<phy::DecodedSymbol>& symbols) = 0;
 
-  // Round opener; only the destination emits here (its feedback). An
-  // empty result from the destination ends the exchange.
+  // Round opener. Non-destination parties open first, in id order (a
+  // listener hands over its equations here); the destination opens
+  // last, with its feedback. An empty result from the destination ends
+  // the exchange.
   virtual std::vector<SessionMessage> StartRound() { return {}; }
 
   // ExOR-style self-ranking for relay airtime scheduling: relays
@@ -116,12 +135,14 @@ class DestinationParticipant : public RecoveryParticipant {
   PartyRole role() const final { return PartyRole::kDestination; }
   virtual bool Complete() const = 0;
   virtual BitVec AssembledPayload() const = 0;
-  virtual std::size_t rounds() const = 0;
+  // Decoder rank the kEquations rows it banked added; 0 for a
+  // destination that does not bank them.
+  virtual std::size_t EquationRank() const { return 0; }
 };
 
 // Per-party traffic, indexed by PartyId (the destination's entry counts
 // its feedback; repair parties count data-direction airtime after the
-// initial transmission).
+// initial transmission; a listener's entry stays zero).
 struct PartyTraffic {
   std::size_t repair_bits = 0;
   std::size_t repair_messages = 0;
@@ -206,11 +227,12 @@ class RecoverySession {
 
  private:
   void ValidateTopology();
-  // One feedback round: the destination opens, every reply routes
-  // until the round drains. Returns false, without counting a round,
-  // when the destination emitted no feedback: the exchange is complete.
+  // One feedback round: the other parties open, then the destination,
+  // and every reply routes until the round drains. Returns false,
+  // without counting a round, when the destination emitted no
+  // feedback: the exchange is complete.
   bool RunRound(DestinationParticipant& destination);
-  void Deliver(const SessionMessage& msg);
+  void Deliver(SessionMessage msg);
   void Account(const SessionMessage& msg);
   std::vector<PartyId> RecipientOrder(const SessionMessage& msg);
 

@@ -179,8 +179,6 @@ class ChunkRetransmitReceiver : public DestinationParticipant {
     return receiver_.AssembledPayload();
   }
 
-  std::size_t rounds() const override { return receiver_.rounds(); }
-
  private:
   PpArqReceiver receiver_;
 };
@@ -324,8 +322,9 @@ class CodedRepairSource : public RecoveryParticipant {
 
 // Shared destination core of the coded strategies: SoftPHY-labeled
 // assembly of the initial transmission, the bridge into
-// fec::CodedRepairSession, record parsing, and decode-verify-evict.
-// Subclasses own the feedback wire (how much to request, from whom).
+// fec::CodedRepairSession, record parsing, decode-verify-evict, and the
+// kEquations rows a collision listener hands over. Subclasses own the
+// feedback wire (how much to request, from whom).
 class CodedReceiverBase : public DestinationParticipant {
  public:
   CodedReceiverBase(std::uint16_t seq, std::size_t total_codewords,
@@ -351,7 +350,6 @@ class CodedReceiverBase : public DestinationParticipant {
 
   std::vector<SessionMessage> StartRound() override {
     if (Complete()) return {};
-    ++rounds_;
     EnsureSession();
     // A decodable-but-wrong basis (pure SoftPHY miss, no erasures) is
     // resolved here: TryFinish evicts suspects, growing the deficit.
@@ -362,6 +360,10 @@ class CodedReceiverBase : public DestinationParticipant {
 
   std::vector<SessionMessage> HandleMessage(
       const DeliveredMessage& msg) override {
+    if (msg.type == SessionMessageType::kEquations) {
+      BankEquations(msg.equations);
+      return {};
+    }
     if (msg.type != SessionMessageType::kRepair) return {};
     if (!session_.has_value() || decoded_ok_) return {};
     for (const auto& f : msg.frames) IngestRepairFrame(f);
@@ -373,7 +375,7 @@ class CodedReceiverBase : public DestinationParticipant {
     return body_.bits.Slice(0, body_.bits.size() - 32);
   }
 
-  std::size_t rounds() const override { return rounds_; }
+  std::size_t EquationRank() const override { return equation_rank_; }
 
  protected:
   // The strategy-specific feedback, built while incomplete (the session
@@ -429,9 +431,7 @@ class CodedReceiverBase : public DestinationParticipant {
     return valid;
   }
 
-  // Session lifecycle, exposed to subclasses that accept equations
-  // outside the feedback loop (the collision path banks rank BEFORE the
-  // first feedback round runs).
+ private:
   void EnsureSession() {
     if (session_.has_value()) return;
     const std::size_t cps = config_.codewords_per_fec_symbol;
@@ -459,7 +459,25 @@ class CodedReceiverBase : public DestinationParticipant {
     }
   }
 
- private:
+  // Rows a collision listener distilled from collided receptions,
+  // banked as they arrive (the listener opens the first round, before
+  // this destination's feedback) and evictable as a group under the
+  // collision provenance tag. Rows whose widths do not match the FEC
+  // block are skipped; the rank gained is the drop in deficit.
+  void BankEquations(const std::vector<collide::CollisionEquation>& equations) {
+    EnsureSession();
+    const std::size_t before = session_->Deficit();
+    for (const auto& eq : equations) {
+      if (eq.coefs.size() != NumSourceSymbols()) continue;
+      if (eq.data.size() != session_->symbol_bytes()) continue;
+      session_->ConsumeEquation(eq.coefs, eq.data, eq.suspicion,
+                                /*evictable=*/true,
+                                /*party=*/fec::kCollisionResolvedParty);
+    }
+    equation_rank_ += before - session_->Deficit();
+    TryFinish();
+  }
+
   bool BodyCrcOk(const BitVec& body) const {
     const std::size_t payload_bits = body.size() - 32;
     const auto stored =
@@ -472,7 +490,7 @@ class CodedReceiverBase : public DestinationParticipant {
   SoftPhyBody body_;
   std::optional<fec::CodedRepairSession> session_;
   bool decoded_ok_ = false;
-  std::size_t rounds_ = 0;
+  std::size_t equation_rank_ = 0;
 };
 
 // Two-party coded destination: one estimator, a one-party wire.
@@ -522,65 +540,6 @@ class CodedRepairStrategy : public RecoveryStrategy {
       std::uint16_t seq, std::size_t total_codewords) const override {
     return std::make_unique<CodedRepairReceiver>(seq, total_codewords,
                                                  config_);
-  }
-
- private:
-  PpArqConfig config_;
-};
-
-// ---------------------------------------------------------- collision-resolve
-
-// The coded destination with the collision side door: equations the
-// listener distilled from collided receptions are banked into the same
-// decoder session, evictable as a group under the collision provenance
-// tag. Everything else — feedback sizing, repair ingestion — is
-// two-party coded repair unchanged, so composing the strategies costs
-// nothing when no collision occurs.
-class CollisionResolveReceiver : public CodedRepairReceiver,
-                                 public CollisionEquationConsumer {
- public:
-  using CodedRepairReceiver::CodedRepairReceiver;
-
-  std::size_t IngestCollisionEquations(
-      const std::vector<collide::CollisionEquation>& equations) override {
-    EnsureSession();
-    const std::size_t before = session().Deficit();
-    for (const auto& eq : equations) {
-      if (eq.coefs.size() != NumSourceSymbols()) continue;
-      if (eq.data.size() != session().symbol_bytes()) continue;
-      session().ConsumeEquation(eq.coefs, eq.data, eq.suspicion,
-                                /*evictable=*/true,
-                                /*party=*/fec::kCollisionResolvedParty);
-    }
-    const std::size_t gained = before - session().Deficit();
-    TryFinish();
-    return gained;
-  }
-};
-
-class CollisionResolveStrategy : public RecoveryStrategy {
- public:
-  explicit CollisionResolveStrategy(const PpArqConfig& config)
-      : config_(config) {
-    const std::size_t symbol_bits =
-        config.bits_per_codeword * config.codewords_per_fec_symbol;
-    if (symbol_bits == 0 || symbol_bits % 8 != 0) {
-      throw std::invalid_argument(
-          "CollisionResolveStrategy: FEC symbol must be whole octets");
-    }
-  }
-
-  const char* Name() const override { return "collision-resolve"; }
-
-  std::unique_ptr<RecoveryParticipant> MakeSourceParticipant(
-      const BitVec& body_bits, std::uint16_t seq) const override {
-    return std::make_unique<CodedRepairSource>(body_bits, seq, config_);
-  }
-
-  std::unique_ptr<DestinationParticipant> MakeDestinationParticipant(
-      std::uint16_t seq, std::size_t total_codewords) const override {
-    return std::make_unique<CollisionResolveReceiver>(seq, total_codewords,
-                                                      config_);
   }
 
  private:
@@ -937,11 +896,10 @@ std::unique_ptr<RecoveryStrategy> MakeRecoveryStrategy(
     case RecoveryMode::kChunkRetransmit:
       return std::make_unique<ChunkRetransmitStrategy>(config);
     case RecoveryMode::kCodedRepair:
+    case RecoveryMode::kCollisionResolve:
       return std::make_unique<CodedRepairStrategy>(config);
     case RecoveryMode::kRelayCodedRepair:
       return std::make_unique<RelayCodedStrategy>(config);
-    case RecoveryMode::kCollisionResolve:
-      return std::make_unique<CollisionResolveStrategy>(config);
   }
   throw std::logic_error("MakeRecoveryStrategy: unknown mode");
 }

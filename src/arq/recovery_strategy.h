@@ -1,7 +1,8 @@
 // Pluggable recovery strategies for PP-ARQ.
 //
 // A strategy owns one question: given the receiver's view of a partial
-// packet, what goes on the air to finish it? Four implementations ship:
+// packet, what goes on the air to finish it? Three implementations ship,
+// selected by four modes:
 //
 //   kChunkRetransmit — the paper's protocol: the receiver's dynamic
 //     program picks chunks, the sender retransmits exactly those bits
@@ -20,11 +21,11 @@
 //     all repair parties in proportion to their observed delivery
 //     rates, and the session engine schedules relay airtime
 //     (ExOR-style ranking + per-round budget, recovery_session.h).
-//   kCollisionResolve — coded repair composed with the collision
-//     listener (src/collide/): the destination also implements
-//     CollisionEquationConsumer, banking equations distilled from
-//     collided receptions into the same decoder session under a
-//     collision provenance tag.
+//   kCollisionResolve — the kCodedRepair strategy itself. The mode
+//     selects collision episodes (collide/runner.h), whose listener
+//     joins the session as one more party: every coded destination
+//     banks the kEquations rows it hands over into the same decoder
+//     session, evictable under a collision provenance tag.
 //
 // A strategy builds the session participants directly (source,
 // destination, and relays where it has them). All parties of a
@@ -41,7 +42,6 @@
 #include <vector>
 
 #include "arq/pp_arq.h"
-#include "collide/equations.h"
 #include "common/bitvec.h"
 #include "phy/despreader.h"
 
@@ -102,24 +102,6 @@ struct CodedFeedbackWire {
 // wire or a zero party count.
 BitVec EncodeCodedFeedbackWire(const CodedFeedbackWire& feedback);
 std::optional<CodedFeedbackWire> DecodeCodedFeedbackWire(const BitVec& wire);
-
-// Side door for the collision-resolution listener (src/collide/): a
-// destination that additionally accepts GF(256) equations distilled
-// from collided receptions. kCollisionResolve destinations implement
-// this alongside DestinationParticipant; callers discover it by
-// dynamic_cast so the base interface stays untouched for every other
-// strategy.
-class CollisionEquationConsumer {
- public:
-  virtual ~CollisionEquationConsumer() = default;
-
-  // Banks the equations into the decoder (evictable, under the
-  // collision provenance tag) and returns the rank actually gained.
-  // Equations whose coefficient width does not match the FEC block are
-  // skipped.
-  virtual std::size_t IngestCollisionEquations(
-      const std::vector<collide::CollisionEquation>& equations) = 0;
-};
 
 // The session roles a strategy builds (arq/recovery_session.h).
 class RecoveryParticipant;

@@ -1,7 +1,7 @@
 // The currency the collision subsystem hands the decoder: GF(256)
 // equations over one flow's FEC source symbols. Kept dependency-free so
-// arq::CollisionEquationConsumer (recovery_strategy.h) can name the
-// type without pulling the whole subsystem into its header.
+// arq::SessionMessage (recovery_session.h) can carry them as kEquations
+// without pulling the whole subsystem into its header.
 #pragma once
 
 #include <cstddef>

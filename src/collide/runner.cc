@@ -1,12 +1,49 @@
 #include "collide/runner.h"
 
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "arq/pp_arq.h"
-#include "arq/recovery_session.h"
 #include "obs/obs.h"
 
 namespace ppr::collide {
+namespace {
+
+// The collision listener as a session party beside the destination: it
+// heard the collided captures itself, so it never ingests the initial
+// transmission, and it answers no feedback. It hands over its
+// equations once, when the first round opens.
+class ListenerParticipant : public arq::RecoveryParticipant {
+ public:
+  explicit ListenerParticipant(std::vector<CollisionEquation> equations)
+      : equations_(std::move(equations)) {}
+
+  arq::PartyRole role() const override { return arq::PartyRole::kListener; }
+
+  void IngestInitial(const std::vector<phy::DecodedSymbol>&) override {}
+
+  std::vector<arq::SessionMessage> StartRound() override {
+    if (handed_over_) return {};
+    handed_over_ = true;
+    std::vector<arq::SessionMessage> opening(1);
+    opening.front().type = arq::SessionMessageType::kEquations;
+    opening.front().to = arq::kSessionDestinationId;
+    opening.front().equations = std::move(equations_);
+    return opening;
+  }
+
+  std::vector<arq::SessionMessage> HandleMessage(
+      const arq::DeliveredMessage&) override {
+    return {};
+  }
+
+ private:
+  std::vector<CollisionEquation> equations_;
+  bool handed_over_ = false;
+};
+
+}  // namespace
 
 CollisionExchangeOutcome RunCollisionRecoveryExchange(
     const BitVec& payload_bits, const arq::PpArqConfig& config,
@@ -20,6 +57,11 @@ CollisionExchangeOutcome RunCollisionRecoveryExchange(
         "RunCollisionRecoveryExchange: collision captures carry 4-bit "
         "codewords");
   }
+  if (resolve && config.recovery != arq::RecoveryMode::kCollisionResolve) {
+    throw std::invalid_argument(
+        "RunCollisionRecoveryExchange: resolve needs "
+        "RecoveryMode::kCollisionResolve");
+  }
   CollisionExchangeOutcome out;
   const phy::ChipCodebook codebook;
   const std::uint16_t seq = 1;
@@ -28,67 +70,46 @@ CollisionExchangeOutcome RunCollisionRecoveryExchange(
   const CollisionEpisode episode =
       DrawCollisionEpisode(codebook, body, episode_params, episode_rng);
 
-  auto source = strategy.MakeSourceParticipant(body, seq);
-  auto destination = strategy.MakeDestinationParticipant(
+  // The first capture is the destination's copy of the initial
+  // transmission, so the repair channel carries repair frames only.
+  arq::SessionConfig topology;
+  topology.edges.push_back(
+      {arq::kSessionSourceId, arq::kSessionDestinationId, repair_channel});
+  arq::SessionBroadcast initial;
+  initial.from = arq::kSessionSourceId;
+  initial.listeners = {arq::kSessionDestinationId};
+  initial.channel = [&episode](const BitVec&) {
+    std::vector<std::vector<phy::DecodedSymbol>> receptions;
+    receptions.push_back(InitialSymbolsFromCapture(episode.first));
+    return receptions;
+  };
+  topology.initial_broadcast = std::move(initial);
+  arq::RecoverySession session(std::move(topology));
+  const arq::PartyId source =
+      session.AddParty(strategy.MakeSourceParticipant(body, seq));
+  auto destination_party = strategy.MakeDestinationParticipant(
       seq, body.size() / config.bits_per_codeword);
-
-  // Both collided copies of A crossed the air whether or not anything
-  // is distilled from them, so both legs pay the same initial budget.
-  out.totals.data_transmissions = 2;
-  out.totals.forward_bits = 2 * body.size();
-  destination->IngestInitial(InitialSymbolsFromCapture(episode.first));
-
+  const arq::DestinationParticipant& destination = *destination_party;
+  session.AddParty(std::move(destination_party));
   if (resolve) {
-    auto* consumer = dynamic_cast<arq::CollisionEquationConsumer*>(
-        destination.get());
-    if (consumer == nullptr) {
-      throw std::invalid_argument(
-          "RunCollisionRecoveryExchange: strategy's destination does not "
-          "consume collision equations (use RecoveryMode::kCollisionResolve)");
-    }
     CollisionListener listener(listener_config);
-    const ResolvedCollision resolved = listener.Resolve(codebook, episode);
+    ResolvedCollision resolved = listener.Resolve(codebook, episode);
     out.collide = listener.stats();
     out.resolved_pair = resolved.a_resolved && resolved.b_resolved;
     out.equations_banked = resolved.equations.size();
-    out.rank_gained = consumer->IngestCollisionEquations(resolved.equations);
+    session.AddParty(
+        std::make_unique<ListenerParticipant>(std::move(resolved.equations)));
+  }
+  session.TransmitInitial(source, body);
+  out.stats = session.Run(max_rounds);
+  // The second collided copy of A crossed the air too, whether or not
+  // anything is distilled from it.
+  out.stats.totals.forward_bits += body.size();
+  ++out.stats.totals.data_transmissions;
+  if (resolve) {
+    out.rank_gained = destination.EquationRank();
     obs::Count("collide.rank_gained", out.rank_gained);
   }
-
-  // The standard coded feedback loop finishes the packet: the
-  // destination's feedback reaches the source reliably, and the
-  // source's repair frames cross `repair_channel` in order.
-  for (std::size_t round = 0; round < max_rounds; ++round) {
-    const auto opening = destination->StartRound();
-    if (opening.empty()) break;
-    ++out.rounds;
-    for (const auto& feedback : opening) {
-      out.totals.feedback_bits += feedback.feedback_wire.size();
-      arq::DeliveredMessage request;
-      request.type = arq::SessionMessageType::kFeedback;
-      request.feedback_wire = feedback.feedback_wire;
-      for (const auto& reply : source->HandleMessage(request)) {
-        out.totals.forward_bits += reply.wire_bits;
-        if (reply.wire_bits > 0) {
-          out.totals.retransmission_bits.push_back(reply.wire_bits);
-        }
-        if (reply.frames.empty()) continue;
-        ++out.totals.data_transmissions;
-        arq::DeliveredMessage repair;
-        repair.type = arq::SessionMessageType::kRepair;
-        repair.frames.reserve(reply.frames.size());
-        for (const auto& f : reply.frames) {
-          arq::ReceivedRepairFrame rf(f.range, f.aux, repair_channel(f.bits));
-          rf.origin = f.origin;
-          rf.coef_mask = f.coef_mask;
-          rf.suspicion = f.suspicion;
-          repair.frames.push_back(std::move(rf));
-        }
-        destination->HandleMessage(repair);
-      }
-    }
-  }
-  out.totals.success = destination->Complete();
   return out;
 }
 

@@ -6,11 +6,19 @@
 // The discard baseline — today's behavior — is the same exchange with
 // `resolve` off: the receiver keeps only the clean codewords of the
 // first capture and pays for the rest in repair symbols.
+//
+// The exchange is one RecoverySession (arq/recovery_session.h): source,
+// destination and, with `resolve` on, the listener as a third party
+// that hands the destination its equations (kEquations) when the first
+// round opens, before any feedback. In the spirit of "Collision Helps"
+// (ParandehGheibi et al.), a collided reception is one more coded
+// packet for the decoder.
 #pragma once
 
 #include <cstddef>
 
 #include "arq/link_sim.h"
+#include "arq/recovery_session.h"
 #include "arq/recovery_strategy.h"
 #include "collide/capture.h"
 #include "collide/listener.h"
@@ -20,8 +28,11 @@
 namespace ppr::collide {
 
 struct CollisionExchangeOutcome {
-  arq::ArqRunStats totals;
-  std::size_t rounds = 0;
+  // The session's accounting. Both collided copies of A are charged as
+  // initial transmissions, so the discard and resolve legs pay the same
+  // initial airtime and any repair-bit difference is pure
+  // collision-recovery yield.
+  arq::SessionRunStats stats;
   CollisionStats collide;
   // Both packets of the double collision fully resolved by stripping.
   bool resolved_pair = false;
@@ -32,18 +43,14 @@ struct CollisionExchangeOutcome {
 };
 
 // `config.bits_per_codeword` must be 4: captures are 4-bit DSSS
-// nibbles (throws std::invalid_argument otherwise).
-// `strategy` must come from a kCollisionResolve config (its
-// destination implements CollisionEquationConsumer); `episode_rng`
-// drives every collision draw (seed it from arq::SeedForCollisionRound
-// so runs are schedule-invariant); `repair_channel` carries the repair
-// exchange. The runner drives the strategy's source and destination
-// participants itself, outside RecoverySession, because its accounting
-// differs from the session's: both collided transmissions are charged
-// to the forward budget (the discard and resolve legs pay identical
-// initial airtime, so any repair-bit difference is pure
-// collision-recovery yield), and a repair message with no frames costs
-// no data transmission.
+// nibbles, and `resolve` requires `config.recovery` to be
+// kCollisionResolve (both throw std::invalid_argument otherwise).
+// `strategy` builds the source and destination (a coded destination
+// banks the listener's equations); `episode_rng` drives every
+// collision draw (seed it from arq::SeedForCollisionRound so runs are
+// schedule-invariant); `repair_channel` is the source -> destination
+// edge that carries the repair frames. The first capture stands in for
+// the initial transmission, so that edge draws nothing for it.
 CollisionExchangeOutcome RunCollisionRecoveryExchange(
     const BitVec& payload_bits, const arq::PpArqConfig& config,
     const arq::RecoveryStrategy& strategy,

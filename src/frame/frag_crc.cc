@@ -4,8 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "common/crc.h"
-
 namespace ppr::frame {
 
 FragmentPlan::FragmentPlan(std::size_t payload_octets,
@@ -31,55 +29,6 @@ std::size_t FragmentPlan::FragmentOffset(std::size_t index) const {
   const std::size_t base = payload_octets_ / num_fragments_;
   const std::size_t remainder = payload_octets_ % num_fragments_;
   return base * index + std::min(index, remainder);
-}
-
-std::vector<std::uint8_t> BuildFragmentedPayload(
-    std::span<const std::uint8_t> payload, const FragmentPlan& plan) {
-  assert(payload.size() == plan.payload_octets());
-  std::vector<std::uint8_t> wire;
-  wire.reserve(plan.WireOctets());
-  for (std::size_t f = 0; f < plan.num_fragments(); ++f) {
-    const auto frag = payload.subspan(plan.FragmentOffset(f), plan.FragmentSize(f));
-    wire.insert(wire.end(), frag.begin(), frag.end());
-    const std::uint32_t crc = Crc32(frag);
-    wire.push_back(static_cast<std::uint8_t>(crc >> 24));
-    wire.push_back(static_cast<std::uint8_t>((crc >> 16) & 0xFF));
-    wire.push_back(static_cast<std::uint8_t>((crc >> 8) & 0xFF));
-    wire.push_back(static_cast<std::uint8_t>(crc & 0xFF));
-  }
-  return wire;
-}
-
-FragmentCheckResult CheckFragmentedPayload(std::span<const std::uint8_t> wire,
-                                           const FragmentPlan& plan) {
-  if (wire.size() != plan.WireOctets()) {
-    throw std::invalid_argument("CheckFragmentedPayload: wire size mismatch");
-  }
-  FragmentCheckResult result;
-  result.fragment_ok.resize(plan.num_fragments(), false);
-  result.payload.assign(plan.payload_octets(), 0);
-
-  std::size_t wire_pos = 0;
-  for (std::size_t f = 0; f < plan.num_fragments(); ++f) {
-    const std::size_t size = plan.FragmentSize(f);
-    const auto frag = wire.subspan(wire_pos, size);
-    wire_pos += size;
-    const std::uint32_t got =
-        (static_cast<std::uint32_t>(wire[wire_pos]) << 24) |
-        (static_cast<std::uint32_t>(wire[wire_pos + 1]) << 16) |
-        (static_cast<std::uint32_t>(wire[wire_pos + 2]) << 8) |
-        static_cast<std::uint32_t>(wire[wire_pos + 3]);
-    wire_pos += 4;
-    const bool ok = Crc32(frag) == got;
-    result.fragment_ok[f] = ok;
-    if (ok) {
-      std::copy(frag.begin(), frag.end(),
-                result.payload.begin() +
-                    static_cast<std::ptrdiff_t>(plan.FragmentOffset(f)));
-      result.delivered_octets += size;
-    }
-  }
-  return result;
 }
 
 }  // namespace ppr::frame

@@ -1,14 +1,14 @@
-// Fragmented-CRC payloads (section 3.4): the payload is split into
+// Fragmented-CRC layout (section 3.4): the payload is split into
 // fragments, each followed by a 32-bit CRC over the preceding fragment,
 // so a receiver can deliver the fragments that verify and discard only
 // the corrupted ones. This is the paper's strongest SoftPHY-free
-// baseline (Table 2 picks the best fragment count post-facto).
+// baseline (Table 2 picks the best fragment count post-facto). The
+// delivery model (sim/delivery.h), and through it the FDR figures and
+// table02, prices the scheme from this plan: which payload octets each
+// fragment spans, and how many CRC octets the frame adds.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <span>
-#include <vector>
 
 namespace ppr::frame {
 
@@ -20,38 +20,15 @@ class FragmentPlan {
   FragmentPlan(std::size_t payload_octets, std::size_t num_fragments);
 
   std::size_t num_fragments() const { return num_fragments_; }
-  std::size_t payload_octets() const { return payload_octets_; }
 
   std::size_t FragmentSize(std::size_t index) const;
   // Offset of fragment `index` within the original (un-fragmented)
   // payload.
   std::size_t FragmentOffset(std::size_t index) const;
 
-  // On-air octets: payload plus one CRC-32 per fragment.
-  std::size_t WireOctets() const {
-    return payload_octets_ + 4 * num_fragments_;
-  }
-
  private:
   std::size_t payload_octets_;
   std::size_t num_fragments_;
 };
-
-// Interleaves per-fragment CRC-32s into the payload:
-//   frag0 CRC0 frag1 CRC1 ... fragF-1 CRCF-1
-std::vector<std::uint8_t> BuildFragmentedPayload(
-    std::span<const std::uint8_t> payload, const FragmentPlan& plan);
-
-struct FragmentCheckResult {
-  std::vector<bool> fragment_ok;       // per fragment, CRC verified
-  std::vector<std::uint8_t> payload;   // reassembled payload, zeros where bad
-  std::size_t delivered_octets = 0;    // octets in verified fragments
-};
-
-// Verifies each fragment of a received wire payload (possibly corrupted)
-// and reassembles the deliverable portion. `wire` must have exactly
-// plan.WireOctets() octets.
-FragmentCheckResult CheckFragmentedPayload(std::span<const std::uint8_t> wire,
-                                           const FragmentPlan& plan);
 
 }  // namespace ppr::frame

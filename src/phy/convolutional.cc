@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <limits>
 #include <stdexcept>
 
@@ -43,12 +42,30 @@ const std::array<std::array<Branch, 2>, kStates>& Trellis() {
   return trellis;
 }
 
-// Shared Viterbi core: `branch_metric(step, out0, out1)` returns the
-// cost of emitting the given code-bit pair at trellis step `step`
-// (lower is better).
-template <typename MetricFn>
-ViterbiResult Decode(std::size_t info_bits, std::size_t steps,
-                     const MetricFn& branch_metric) {
+}  // namespace
+
+BitVec ConvolutionalEncode(const BitVec& bits) {
+  const auto& trellis = Trellis();
+  BitVec out;
+  unsigned state = 0;
+  const auto push = [&](unsigned b) {
+    const Branch& br = trellis[state][b];
+    out.PushBack(br.out0 != 0);
+    out.PushBack(br.out1 != 0);
+    state = br.next;
+  };
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    push(bits.Get(i) ? 1u : 0u);
+  }
+  for (unsigned i = 0; i < kTail; ++i) push(0u);  // terminate at state 0
+  return out;
+}
+
+ViterbiResult ViterbiDecodeHard(const BitVec& coded, std::size_t info_bits) {
+  const std::size_t steps = info_bits + kTail;
+  if (coded.size() != 2 * steps) {
+    throw std::invalid_argument("ViterbiDecodeHard: length mismatch");
+  }
   const auto& trellis = Trellis();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -66,6 +83,8 @@ ViterbiResult Decode(std::size_t info_bits, std::size_t steps,
       steps, std::vector<Decision>(kStates));
 
   for (std::size_t t = 0; t < steps; ++t) {
+    const bool c0 = coded.Get(2 * t);
+    const bool c1 = coded.Get(2 * t + 1);
     std::fill(next_metric.begin(), next_metric.end(), kInf);
     // For each destination state track the best and second-best
     // incoming path.
@@ -74,7 +93,9 @@ ViterbiResult Decode(std::size_t info_bits, std::size_t steps,
       if (metric[s] == kInf) continue;
       for (unsigned b = 0; b < 2; ++b) {
         const Branch& br = trellis[s][b];
-        const double m = metric[s] + branch_metric(t, br.out0, br.out1);
+        // Branch metric: Hamming distance to the received pair.
+        const int distance = (c0 != (br.out0 != 0)) + (c1 != (br.out1 != 0));
+        const double m = metric[s] + distance;
         if (m < next_metric[br.next]) {
           second[br.next] = next_metric[br.next];
           next_metric[br.next] = m;
@@ -110,54 +131,6 @@ ViterbiResult Decode(std::size_t info_bits, std::size_t steps,
     result.reliability.push_back(margins[t]);
   }
   return result;
-}
-
-}  // namespace
-
-BitVec ConvolutionalEncode(const BitVec& bits) {
-  const auto& trellis = Trellis();
-  BitVec out;
-  unsigned state = 0;
-  const auto push = [&](unsigned b) {
-    const Branch& br = trellis[state][b];
-    out.PushBack(br.out0 != 0);
-    out.PushBack(br.out1 != 0);
-    state = br.next;
-  };
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    push(bits.Get(i) ? 1u : 0u);
-  }
-  for (unsigned i = 0; i < kTail; ++i) push(0u);  // terminate at state 0
-  return out;
-}
-
-ViterbiResult ViterbiDecodeHard(const BitVec& coded, std::size_t info_bits) {
-  const std::size_t steps = info_bits + kTail;
-  if (coded.size() != 2 * steps) {
-    throw std::invalid_argument("ViterbiDecodeHard: length mismatch");
-  }
-  return Decode(info_bits, steps,
-                [&](std::size_t t, std::uint8_t o0, std::uint8_t o1) {
-                  double m = 0.0;
-                  if (coded.Get(2 * t) != (o0 != 0)) m += 1.0;
-                  if (coded.Get(2 * t + 1) != (o1 != 0)) m += 1.0;
-                  return m;
-                });
-}
-
-ViterbiResult ViterbiDecodeSoft(const std::vector<double>& coded_soft,
-                                std::size_t info_bits) {
-  const std::size_t steps = info_bits + kTail;
-  if (coded_soft.size() != 2 * steps) {
-    throw std::invalid_argument("ViterbiDecodeSoft: length mismatch");
-  }
-  return Decode(info_bits, steps,
-                [&](std::size_t t, std::uint8_t o0, std::uint8_t o1) {
-                  // Negative correlation so lower = better.
-                  const double l0 = o0 ? 1.0 : -1.0;
-                  const double l1 = o1 ? 1.0 : -1.0;
-                  return -(l0 * coded_soft[2 * t] + l1 * coded_soft[2 * t + 1]);
-                });
 }
 
 std::vector<DecodedSymbol> ViterbiToSoftPhySymbols(

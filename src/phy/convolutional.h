@@ -6,9 +6,9 @@
 //
 // The encoder is the classic rate-1/2, constraint-length-7 code
 // (polynomials 0o171 and 0o133, the "Voyager" code used across wireless
-// standards). The decoder runs hard- or soft-input Viterbi and emits a
-// per-bit reliability: the path-metric margin between the survivor and
-// its best competitor at each trellis step (a SOVA-style hint — larger
+// standards). The decoder runs hard-input Viterbi and emits a per-bit
+// reliability: the path-metric margin between the survivor and its
+// best competitor at each trellis step (a SOVA-style hint — larger
 // margin means higher confidence, so the SoftPHY hint is its negation
 // to preserve the lower-is-better monotonicity contract).
 #pragma once
@@ -52,11 +52,6 @@ struct ViterbiResult {
 // corrupted); metric is Hamming distance. `info_bits` is the number of
 // information bits the caller expects (excluding the tail).
 ViterbiResult ViterbiDecodeHard(const BitVec& coded, std::size_t info_bits);
-
-// Soft-input Viterbi: one soft value per code bit, sign = bit decision
-// (negative = 0), magnitude = confidence; metric is correlation.
-ViterbiResult ViterbiDecodeSoft(const std::vector<double>& coded_soft,
-                                std::size_t info_bits);
 
 // Groups Viterbi per-bit reliabilities into 4-bit "codeword" hints so
 // the convolutional receiver plugs into the same SoftPHY interface as

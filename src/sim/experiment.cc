@@ -248,44 +248,35 @@ LinkRecoveryStats RunOneLink(const ExperimentConfig& config,
     for (std::size_t b = 0; b < recovery.payload_octets; ++b) {
       payload.AppendUint(payload_rng.UniformInt(256), 8);
     }
+    bool collided = false;
+    Rng episode_rng(0);  // seeded per packet below on collision links
     if (collision_mode) {
       // Under kSharedInterferer one interferer draw serves the whole
       // broadcast (the episode is a property of the transmission);
       // under kIndependent each receiver experiences its own collision
       // draw, so the receiver identity salts the stream.
-      const std::uint64_t episode_seed =
+      episode_rng = Rng(
           recovery.correlation == arq::CollisionCorrelation::kSharedInterferer
               ? arq::SeedForCollisionRound(link_medium_seed, p, 0)
               : arq::SeedForCollisionRound(link_medium_seed, p,
-                                           1 + job.receiver);
-      Rng episode_rng(episode_seed);
-      if (episode_rng.Bernoulli(recovery.collision_contention)) {
-        const auto outcome = collide::RunCollisionRecoveryExchange(
-            payload, recovery.arq, fallback, channel, episode_params,
-            episode_rng, listener_config, recovery.collision_resolve,
-            recovery.max_rounds);
-        ++link.packets;
-        if (outcome.totals.success) {
-          ++link.completed;
-          ++link.collided_recovered_frames;
-        }
-        link.feedback_bits += outcome.totals.feedback_bits;
-        link.feedback_rounds += outcome.rounds;
-        for (const auto bits : outcome.totals.retransmission_bits) {
-          link.repair_bits += bits;
-          link.source_repair_bits += bits;
-        }
-        ++link.collision_episodes;
-        link.collision_codewords_stripped += outcome.collide.codewords_stripped;
-        link.collision_equations_banked += outcome.equations_banked;
-        link.collision_pairs_resolved += outcome.collide.pairs_resolved;
-        link.collision_abandoned += outcome.collide.episodes_abandoned;
-        link.collision_rank_gained += outcome.rank_gained;
-        continue;
-      }
+                                           1 + job.receiver));
+      collided = episode_rng.Bernoulli(recovery.collision_contention);
     }
     arq::SessionRunStats stats;
-    if (use_relay) {
+    if (collided) {
+      auto outcome = collide::RunCollisionRecoveryExchange(
+          payload, recovery.arq, fallback, channel, episode_params,
+          episode_rng, listener_config, recovery.collision_resolve,
+          recovery.max_rounds);
+      stats = std::move(outcome.stats);
+      if (stats.totals.success) ++link.collided_recovered_frames;
+      ++link.collision_episodes;
+      link.collision_codewords_stripped += outcome.collide.codewords_stripped;
+      link.collision_equations_banked += outcome.equations_banked;
+      link.collision_pairs_resolved += outcome.collide.pairs_resolved;
+      link.collision_abandoned += outcome.collide.episodes_abandoned;
+      link.collision_rank_gained += outcome.rank_gained;
+    } else if (use_relay) {
       stats = arq::RunMultiRelayRecoveryExchange(payload, relay_config,
                                                  *relay_strategy, channels,
                                                  recovery.max_rounds);

@@ -46,8 +46,9 @@ struct ReceptionRecord {
   bool header_ok = false;       // every header codeword correct
   bool trailer_ok = false;      // every trailer codeword correct
 
-  // One outcome per frame codeword (sync prefix through sync suffix);
-  // populated only when preamble_sync or postamble_sync.
+  // One outcome per frame codeword (sync prefix through sync suffix),
+  // filled for every audible reception, synced or not: both sync flags
+  // are computed from it.
   std::vector<CodewordOutcome> trace;
 
   double snr_db = 0.0;  // interference-free link SNR

@@ -148,48 +148,6 @@ TEST(WholePacketArqTest, RetriesUntilCleanCopy) {
   EXPECT_GT(total_transmissions, static_cast<std::size_t>(packets));
 }
 
-TEST(FragmentedArqTest, SucceedsOnCleanChannel) {
-  const phy::ChipCodebook cb;
-  Rng rng(187);
-  auto channel = MakeChipErrorChannel(cb, 0.0, rng);
-  Rng prng(188);
-  const auto stats =
-      RunFragmentedArq(RandomPayload(prng, 300), 10, channel);
-  EXPECT_TRUE(stats.success);
-  EXPECT_EQ(stats.data_transmissions, 1u);
-}
-
-TEST(FragmentedArqTest, OnlyMissingFragmentsRetransmit) {
-  const phy::ChipCodebook cb;
-  Rng rng(189);
-  auto channel = MakeChipErrorChannel(cb, 0.06, rng);
-  Rng prng(190);
-  const std::size_t payload_octets = 600;
-  const auto stats =
-      RunFragmentedArq(RandomPayload(prng, payload_octets), 20, channel, 100);
-  EXPECT_TRUE(stats.success);
-  if (!stats.retransmission_bits.empty()) {
-    // Later rounds carry fewer bits than the full first transmission.
-    const std::size_t full =
-        payload_octets * 8 + 20 * 32;  // payload + per-fragment CRCs
-    for (const auto bits : stats.retransmission_bits) {
-      EXPECT_LT(bits, full);
-    }
-  }
-}
-
-// Zero fragments, or an empty payload, would divide the payload by
-// zero fragments; both are rejected up front.
-TEST(FragmentedArqTest, RejectsZeroFragmentsAndEmptyPayload) {
-  const phy::ChipCodebook cb;
-  Rng rng(191);
-  auto channel = MakeChipErrorChannel(cb, 0.0, rng);
-  Rng prng(192);
-  EXPECT_THROW(RunFragmentedArq(RandomPayload(prng, 40), 0, channel),
-               std::invalid_argument);
-  EXPECT_THROW(RunFragmentedArq(BitVec{}, 4, channel), std::invalid_argument);
-}
-
 TEST(ArqComparisonTest, PpArqBeatsWholePacketOnRetransmittedBits) {
   // The motivating claim of the paper: under partial corruption,
   // retransmitting only bad runs costs far fewer bits than

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "arq/link_sim.h"
 #include "common/crc.h"
@@ -103,6 +106,181 @@ TEST(RecoverySessionTest, RejectsSecondDestination) {
   session.AddParty(strategy->MakeDestinationParticipant(1, 128));
   EXPECT_THROW(session.AddParty(strategy->MakeDestinationParticipant(1, 128)),
                std::invalid_argument);
+}
+
+// Scripted parties for the kEquations routing test: each logs what
+// reaches it, in order, into one shared transcript.
+class ScriptedDestination : public DestinationParticipant {
+ public:
+  explicit ScriptedDestination(std::vector<std::string>* log) : log_(log) {}
+  void IngestInitial(const std::vector<phy::DecodedSymbol>&) override {
+    log_->push_back("initial");
+  }
+  std::vector<SessionMessage> StartRound() override {
+    if (repaired_) return {};
+    log_->push_back("feedback");
+    SessionMessage fb;
+    fb.type = SessionMessageType::kFeedback;
+    fb.feedback_wire = BitVec(16, true);
+    return {fb};
+  }
+  std::vector<SessionMessage> HandleMessage(
+      const DeliveredMessage& msg) override {
+    if (msg.type == SessionMessageType::kEquations) {
+      log_->push_back("equations x" + std::to_string(msg.equations.size()));
+    } else if (msg.type == SessionMessageType::kRepair) {
+      log_->push_back("repair");
+      repaired_ = true;
+    }
+    return {};
+  }
+  bool Complete() const override { return repaired_; }
+  BitVec AssembledPayload() const override { return {}; }
+
+ private:
+  std::vector<std::string>* log_;
+  bool repaired_ = false;
+};
+
+// Answers each feedback with one 8-bit repair frame costing 40 bits.
+class ScriptedSource : public RecoveryParticipant {
+ public:
+  PartyRole role() const override { return PartyRole::kSource; }
+  void IngestInitial(const std::vector<phy::DecodedSymbol>&) override {}
+  std::vector<SessionMessage> HandleMessage(
+      const DeliveredMessage& msg) override {
+    if (msg.type != SessionMessageType::kFeedback) return {};
+    SessionMessage repair;
+    repair.type = SessionMessageType::kRepair;
+    repair.to = msg.from;
+    repair.frames.push_back(RepairFrame{CodewordRange{0, 2}, 0, BitVec(8)});
+    repair.wire_bits = 40;
+    return {repair};
+  }
+};
+
+// Hands the destination two rows when the first round opens, unless
+// silenced.
+class ScriptedListener : public RecoveryParticipant {
+ public:
+  ScriptedListener(std::vector<std::string>* log, bool silent)
+      : log_(log), opened_(silent) {}
+  PartyRole role() const override { return PartyRole::kListener; }
+  void IngestInitial(const std::vector<phy::DecodedSymbol>&) override {}
+  std::vector<SessionMessage> StartRound() override {
+    if (opened_) return {};
+    opened_ = true;
+    log_->push_back("listener opens");
+    SessionMessage msg;
+    msg.type = SessionMessageType::kEquations;
+    msg.to = kSessionDestinationId;
+    msg.equations.resize(2);
+    return {msg};
+  }
+  std::vector<SessionMessage> HandleMessage(
+      const DeliveredMessage& msg) override {
+    if (msg.type == SessionMessageType::kFeedback) {
+      log_->push_back("listener hears feedback");
+    }
+    return {};
+  }
+
+ private:
+  std::vector<std::string>* log_;
+  bool opened_;
+};
+
+// A perfect channel that counts the codewords drawn through it.
+BodyChannel CountingChannel(std::size_t* codewords) {
+  return [codewords](const BitVec& bits) {
+    *codewords += bits.size() / 4;
+    return std::vector<phy::DecodedSymbol>(bits.size() / 4);
+  };
+}
+
+// A listener's equations reach their addressee off the air: before the
+// destination's first feedback, with no charge and no channel draw.
+// The same session with a silent listener is the reference.
+TEST(RecoverySessionTest, EquationsReachDestinationBeforeFeedbackOffTheAir) {
+  const BitVec body(64, false);
+  const auto run = [&](bool silent, std::vector<std::string>* log,
+                       std::size_t* source_draws, std::size_t* listener_draws) {
+    SessionConfig topology;
+    topology.edges.push_back({kSessionSourceId, kSessionDestinationId,
+                              CountingChannel(source_draws)});
+    topology.edges.push_back({kSessionRelayId, kSessionDestinationId,
+                              CountingChannel(listener_draws)});
+    RecoverySession session(std::move(topology));
+    session.AddParty(std::make_unique<ScriptedSource>());
+    session.AddParty(std::make_unique<ScriptedDestination>(log));
+    session.AddParty(std::make_unique<ScriptedListener>(log, silent));
+    session.TransmitInitial(kSessionSourceId, body);
+    return session.Run(4);
+  };
+
+  std::vector<std::string> log;
+  std::size_t source_draws = 0, listener_draws = 0;
+  const SessionRunStats with = run(false, &log, &source_draws, &listener_draws);
+  EXPECT_EQ(log, (std::vector<std::string>{
+                     "initial", "listener opens", "equations x2", "feedback",
+                     "listener hears feedback", "repair"}));
+  // The source -> destination edge carried the initial body and one
+  // two-codeword frame; the listener's edge carried nothing.
+  EXPECT_EQ(source_draws, 16u + 2u);
+  EXPECT_EQ(listener_draws, 0u);
+  EXPECT_TRUE(with.totals.success);
+  EXPECT_EQ(with.rounds, 1u);
+  EXPECT_EQ(with.totals.forward_bits, body.size() + 40);
+  EXPECT_EQ(with.totals.data_transmissions, 2u);
+  EXPECT_EQ(with.totals.retransmission_bits, std::vector<std::size_t>{40});
+  ASSERT_EQ(with.parties.size(), 3u);
+  EXPECT_EQ(with.parties[kSessionRelayId].repair_bits, 0u);
+  EXPECT_EQ(with.parties[kSessionRelayId].repair_messages, 0u);
+  EXPECT_EQ(with.parties[kSessionRelayId].feedback_bits, 0u);
+
+  std::vector<std::string> silent_log;
+  std::size_t silent_source_draws = 0, silent_listener_draws = 0;
+  const SessionRunStats without = run(true, &silent_log, &silent_source_draws,
+                                      &silent_listener_draws);
+  EXPECT_EQ(silent_source_draws, source_draws);
+  EXPECT_EQ(silent_listener_draws, 0u);
+  EXPECT_EQ(with.totals.forward_bits, without.totals.forward_bits);
+  EXPECT_EQ(with.totals.data_transmissions, without.totals.data_transmissions);
+  EXPECT_EQ(with.totals.retransmission_bits,
+            without.totals.retransmission_bits);
+  EXPECT_EQ(with.totals.feedback_bits, without.totals.feedback_bits);
+  EXPECT_EQ(with.rounds, without.rounds);
+  for (PartyId id = 0; id < 3; ++id) {
+    EXPECT_EQ(with.parties[id].repair_bits, without.parties[id].repair_bits);
+    EXPECT_EQ(with.parties[id].repair_messages,
+              without.parties[id].repair_messages);
+    EXPECT_EQ(with.parties[id].feedback_bits,
+              without.parties[id].feedback_bits);
+  }
+}
+
+// kEquations has no broadcast form: rows are for one decoder.
+TEST(RecoverySessionTest, EquationsNeedAnAddressee) {
+  class BroadcastingListener : public RecoveryParticipant {
+   public:
+    PartyRole role() const override { return PartyRole::kListener; }
+    void IngestInitial(const std::vector<phy::DecodedSymbol>&) override {}
+    std::vector<SessionMessage> StartRound() override {
+      SessionMessage msg;
+      msg.type = SessionMessageType::kEquations;
+      return {msg};
+    }
+    std::vector<SessionMessage> HandleMessage(
+        const DeliveredMessage&) override {
+      return {};
+    }
+  };
+  std::vector<std::string> log;
+  RecoverySession session{SessionConfig{}};
+  session.AddParty(std::make_unique<ScriptedSource>());
+  session.AddParty(std::make_unique<ScriptedDestination>(&log));
+  session.AddParty(std::make_unique<BroadcastingListener>());
+  EXPECT_THROW(session.Run(1), std::logic_error);
 }
 
 // An independent re-implementation of the pre-session duplex loop

@@ -141,18 +141,18 @@ TEST(CollisionRunnerTest, ResolveDeliversWithFewerRepairBitsThanDiscard) {
       const auto outcome = RunCollisionRecoveryExchange(
           payload, config, *strategy, channel, params, episode_rng,
           listener_config, resolve);
-      EXPECT_TRUE(outcome.totals.success);
+      EXPECT_TRUE(outcome.stats.totals.success);
       std::size_t repair = 0;
-      for (const auto bits : outcome.totals.retransmission_bits) {
+      for (const auto bits : outcome.stats.totals.retransmission_bits) {
         repair += bits;
       }
       if (resolve) {
         resolve_repair += repair;
-        resolve_ok += outcome.totals.success;
+        resolve_ok += outcome.stats.totals.success;
         pairs += outcome.resolved_pair;
       } else {
         discard_repair += repair;
-        discard_ok += outcome.totals.success;
+        discard_ok += outcome.stats.totals.success;
         EXPECT_EQ(outcome.rank_gained, 0u);
         EXPECT_EQ(outcome.collide.episodes_seen, 0u);
       }
@@ -233,7 +233,7 @@ TEST(CollisionRunnerTest, OutcomesArePinned) {
         const auto outcome = RunCollisionRecoveryExchange(
             payload, config, *strategy, channel, params, episode_rng,
             listener_config, resolve, /*max_rounds=*/2);
-        const arq::ArqRunStats& totals = outcome.totals;
+        const arq::ArqRunStats& totals = outcome.stats.totals;
         AppendWord(bytes, totals.success);
         AppendWord(bytes, totals.data_transmissions);
         AppendWord(bytes, totals.forward_bits);
@@ -242,7 +242,7 @@ TEST(CollisionRunnerTest, OutcomesArePinned) {
         for (const auto bits : totals.retransmission_bits) {
           AppendWord(bytes, bits);
         }
-        AppendWord(bytes, outcome.rounds);
+        AppendWord(bytes, outcome.stats.rounds);
         AppendWord(bytes, outcome.resolved_pair);
         AppendWord(bytes, outcome.equations_banked);
         AppendWord(bytes, outcome.rank_gained);
@@ -254,8 +254,8 @@ TEST(CollisionRunnerTest, OutcomesArePinned) {
           AppendWord(bytes, v);
         }
         failed += !totals.success;
-        no_rounds += outcome.rounds == 0;
-        two_rounds += outcome.rounds == 2;
+        no_rounds += outcome.stats.rounds == 0;
+        two_rounds += outcome.stats.rounds == 2;
         pairs += outcome.resolved_pair;
         abandoned += c.episodes_abandoned;
         rank_gained += outcome.rank_gained;

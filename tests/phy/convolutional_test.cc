@@ -64,30 +64,6 @@ TEST(ConvolutionalTest, CorrectsBscAtFivePercent) {
   EXPECT_GE(perfect, trials / 2);
 }
 
-TEST(ConvolutionalTest, SoftDecodingBeatsHardAtSameSnr) {
-  // The textbook 2-3 dB soft-decision gain (section 3.1's rationale
-  // for the correlation metric): at an Eb/N0 where hard decoding
-  // starts failing, soft decoding still succeeds more often.
-  Rng rng(305);
-  const std::size_t n = 300;
-  int hard_ok = 0, soft_ok = 0;
-  const int trials = 30;
-  for (int t = 0; t < trials; ++t) {
-    const BitVec bits = RandomBits(rng, n);
-    const BitVec coded = ConvolutionalEncode(bits);
-    std::vector<double> soft(coded.size());
-    BitVec hard;
-    for (std::size_t i = 0; i < coded.size(); ++i) {
-      const double level = coded.Get(i) ? 1.0 : -1.0;
-      soft[i] = level + rng.Normal(0.0, 0.95);
-      hard.PushBack(soft[i] >= 0.0);
-    }
-    if (ViterbiDecodeHard(hard, n).bits == bits) ++hard_ok;
-    if (ViterbiDecodeSoft(soft, n).bits == bits) ++soft_ok;
-  }
-  EXPECT_GT(soft_ok, hard_ok);
-}
-
 TEST(ConvolutionalTest, ReliabilityFlagsCorruptedRegion) {
   // SOVA-style margins: bits near a burst of channel errors must carry
   // lower reliability than bits in clean regions.
@@ -137,8 +113,6 @@ TEST(ConvolutionalTest, SoftPhySymbolsFollowMonotonicityContract) {
 
 TEST(ConvolutionalTest, RejectsLengthMismatch) {
   EXPECT_THROW(ViterbiDecodeHard(BitVec(10, false), 100),
-               std::invalid_argument);
-  EXPECT_THROW(ViterbiDecodeSoft(std::vector<double>(10, 0.0), 100),
                std::invalid_argument);
 }
 

@@ -319,48 +319,64 @@ TEST(LinkRecoveryExperimentTest, MetricSnapshotsInvariantAcrossThreadCounts) {
 #if !defined(PPR_OBS_OFF)
 // The registry snapshot is not a parallel bookkeeping system that can
 // drift: its counters are incremented at the same sites that feed the
-// legacy stats structs, so the two must agree exactly.
+// legacy stats structs, so the two must agree exactly. Relay links and
+// collided packets both run through RecoverySession.
 TEST(LinkRecoveryExperimentTest, MetricSnapshotAgreesWithLegacyStats) {
   const auto config = SmallConfig();
-  auto recovery = SmallRecovery();
-  recovery.arq.recovery = arq::RecoveryMode::kRelayCodedRepair;
-  recovery.max_relays = 2;
-  recovery.correlation = arq::CollisionCorrelation::kSharedInterferer;
-  const auto result = RunLinkRecoveryExperiment(config, recovery);
-  const auto& c = result.metrics.counters;
-  const auto counter = [&](const std::string& key) {
-    const auto it = c.find(key);
-    return it == c.end() ? std::uint64_t{0} : it->second;
-  };
-  EXPECT_EQ(counter("arq.session.feedback_bits"), result.total_feedback_bits);
-  EXPECT_EQ(counter("arq.session.repair_bits.source") +
-                counter("arq.session.repair_bits.relay"),
-            result.total_repair_bits);
-  EXPECT_EQ(counter("arq.session.repair_bits.source"),
-            result.total_source_repair_bits);
-  EXPECT_EQ(counter("arq.session.repair_bits.relay"),
-            result.total_relay_repair_bits);
-  EXPECT_EQ(counter("arq.session.completed") + counter("arq.session.failed"),
-            result.packets);
-  EXPECT_EQ(counter("arq.session.completed"), result.completed);
-  EXPECT_EQ(counter("medium.ref_collisions"),
-            result.total_direct_collision_frames);
-  EXPECT_EQ(counter("medium.joint_collisions"),
-            result.total_joint_collision_frames);
-  EXPECT_EQ(counter("medium.ref_losses"), result.total_direct_loss_frames);
-  EXPECT_EQ(counter("medium.joint_losses"), result.total_joint_loss_frames);
-  std::size_t feedback_rounds = 0;
-  for (const auto& link : result.links) feedback_rounds += link.feedback_rounds;
-  EXPECT_EQ(counter("arq.session.rounds"), feedback_rounds);
-  // Coded repair ran, so GF(256) work was attributed to the active
-  // backend — and to no unavailable one.
-  const std::string gf_key = "fec.gf256.bytes{impl=" +
-                             std::string(fec::GfImplName(fec::GfActiveImpl())) +
-                             "}";
-  EXPECT_GT(counter(gf_key), 0u);
-  for (const auto& [key, value] : c) {
-    if (key.rfind("fec.gf256.", 0) == 0) {
-      EXPECT_GT(value, 0u) << key;
+  auto relay = SmallRecovery();
+  relay.arq.recovery = arq::RecoveryMode::kRelayCodedRepair;
+  relay.max_relays = 2;
+  relay.correlation = arq::CollisionCorrelation::kSharedInterferer;
+  auto collide = SmallRecovery();
+  collide.arq.recovery = arq::RecoveryMode::kCollisionResolve;
+  collide.arq.codewords_per_fec_symbol = 4;
+  collide.collision_contention = 0.9;
+  collide.collision_chip_error_p = 0.01;
+  for (const auto& recovery : {relay, collide}) {
+    const auto result = RunLinkRecoveryExperiment(config, recovery);
+    if (recovery.arq.recovery == arq::RecoveryMode::kCollisionResolve) {
+      EXPECT_GT(result.total_collision_episodes, 0u);
+    }
+    const auto& c = result.metrics.counters;
+    const auto counter = [&](const std::string& key) {
+      const auto it = c.find(key);
+      return it == c.end() ? std::uint64_t{0} : it->second;
+    };
+    EXPECT_EQ(counter("arq.session.feedback_bits"),
+              result.total_feedback_bits);
+    EXPECT_EQ(counter("arq.session.repair_bits.source") +
+                  counter("arq.session.repair_bits.relay"),
+              result.total_repair_bits);
+    EXPECT_EQ(counter("arq.session.repair_bits.source"),
+              result.total_source_repair_bits);
+    EXPECT_EQ(counter("arq.session.repair_bits.relay"),
+              result.total_relay_repair_bits);
+    EXPECT_EQ(counter("arq.session.completed") + counter("arq.session.failed"),
+              result.packets);
+    EXPECT_EQ(counter("arq.session.completed"), result.completed);
+    EXPECT_EQ(counter("medium.ref_collisions"),
+              result.total_direct_collision_frames);
+    EXPECT_EQ(counter("medium.joint_collisions"),
+              result.total_joint_collision_frames);
+    EXPECT_EQ(counter("medium.ref_losses"), result.total_direct_loss_frames);
+    EXPECT_EQ(counter("medium.joint_losses"), result.total_joint_loss_frames);
+    std::size_t feedback_rounds = 0;
+    for (const auto& link : result.links) {
+      feedback_rounds += link.feedback_rounds;
+    }
+    EXPECT_EQ(counter("arq.session.rounds"), feedback_rounds);
+    EXPECT_EQ(counter("collide.rank_gained"),
+              result.total_collision_rank_gained);
+    // Coded repair ran, so GF(256) work was attributed to the active
+    // backend — and to no unavailable one.
+    const std::string gf_key =
+        "fec.gf256.bytes{impl=" +
+        std::string(fec::GfImplName(fec::GfActiveImpl())) + "}";
+    EXPECT_GT(counter(gf_key), 0u);
+    for (const auto& [key, value] : c) {
+      if (key.rfind("fec.gf256.", 0) == 0) {
+        EXPECT_GT(value, 0u) << key;
+      }
     }
   }
 }
