@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <string>
@@ -11,6 +13,7 @@
 #include "common/crc.h"
 #include "common/rng.h"
 #include "fec/gf256.h"
+#include "sim/experiment.h"
 
 namespace ppr::arq {
 namespace {
@@ -824,6 +827,195 @@ TEST(MultiRelaySessionTest, BudgetServesBetterRankedRelayFirst) {
   EXPECT_GT(stats.parties[kSessionRelayId + 1].repair_bits, 0u);
   EXPECT_EQ(stats.parties[kSessionRelayId].repair_bits, 0u);
   EXPECT_GT(stats.relay_deferrals, 0u);
+}
+
+void AppendWord(std::vector<std::uint8_t>& bytes, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    bytes.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+  }
+}
+
+// Every SessionRunStats field, in declaration order.
+void AppendStats(std::vector<std::uint8_t>& bytes, const SessionRunStats& s) {
+  AppendWord(bytes, s.totals.success);
+  AppendWord(bytes, s.totals.data_transmissions);
+  AppendWord(bytes, s.totals.forward_bits);
+  AppendWord(bytes, s.totals.feedback_bits);
+  AppendWord(bytes, s.totals.retransmission_bits.size());
+  for (const auto bits : s.totals.retransmission_bits) AppendWord(bytes, bits);
+  AppendWord(bytes, s.parties.size());
+  for (const auto& party : s.parties) {
+    AppendWord(bytes, party.repair_bits);
+    AppendWord(bytes, party.repair_messages);
+    AppendWord(bytes, party.feedback_bits);
+  }
+  AppendWord(bytes, s.rounds);
+  AppendWord(bytes, s.max_round_relay_bits);
+  AppendWord(bytes, s.relay_deferrals);
+}
+
+// Bursty channels for one pinned exchange: a direct path whose burst
+// rate varies with `seed`, then per relay an overhear hop (sometimes as
+// bad as the direct path) and a strong relay hop. Channels point into
+// `rngs`, which must outlive them.
+MultiRelayExchangeChannels PinChannels(const phy::ChipCodebook& cb,
+                                       std::uint64_t seed, std::size_t relays,
+                                       std::deque<Rng>& rngs) {
+  GilbertElliottParams direct = DegradedParams();
+  direct.p_good_to_bad = 0.02 * static_cast<double>(1 + seed % 5);
+  MultiRelayExchangeChannels channels;
+  rngs.emplace_back(seed * 7919 + 1);
+  channels.source_to_destination =
+      MakeGilbertElliottChannel(cb, direct, rngs.back());
+  for (std::size_t i = 0; i < relays; ++i) {
+    rngs.emplace_back(seed * 7919 + 2 + 2 * i);
+    channels.source_to_relay.push_back(MakeGilbertElliottChannel(
+        cb, (seed + i) % 3 == 0 ? DegradedParams() : StrongParams(),
+        rngs.back()));
+    rngs.emplace_back(seed * 7919 + 3 + 2 * i);
+    channels.relay_to_destination.push_back(
+        MakeGilbertElliottChannel(cb, StrongParams(), rngs.back()));
+  }
+  return channels;
+}
+
+// Every LinkRecoveryStats field, in declaration order.
+void AppendLinkStats(std::vector<std::uint8_t>& bytes,
+                     const sim::LinkRecoveryStats& link) {
+  for (const std::uint64_t v :
+       {std::uint64_t{link.sender}, std::uint64_t{link.receiver},
+        std::bit_cast<std::uint64_t>(link.snr_db), std::uint64_t{link.packets},
+        std::uint64_t{link.completed}, std::uint64_t{link.repair_bits},
+        std::uint64_t{link.feedback_bits}, std::uint64_t{link.feedback_rounds},
+        std::uint64_t{link.relay}, std::uint64_t{link.relays.size()}}) {
+    AppendWord(bytes, v);
+  }
+  for (const auto relay : link.relays) AppendWord(bytes, relay);
+  for (const std::size_t v :
+       {link.source_repair_bits, link.relay_repair_bits,
+        link.max_round_relay_bits, link.relay_deferrals,
+        link.direct_collision_frames, link.joint_collision_frames,
+        link.direct_loss_frames, link.joint_loss_frames,
+        link.collision_episodes, link.collision_codewords_stripped,
+        link.collision_equations_banked, link.collision_pairs_resolved,
+        link.collision_abandoned, link.collision_rank_gained,
+        link.collided_recovered_frames}) {
+    AppendWord(bytes, v);
+  }
+}
+
+// Every field of the chunk, coded and relay exchanges (1-3 relays,
+// with and without an airtime budget) on a seed grid, with the payload
+// each destination assembled, and every LinkRecoveryStats field of a
+// relay-mode testbed leg in which some links recruit no relay. Each
+// exchange runs twice from identically seeded channels: through the
+// public runner, and as a session this test keeps so it can read the
+// destination; the two must agree. A change meant to keep behaviour
+// leaves the CRC alone.
+TEST(RecoverySessionTest, ExchangeOutcomesArePinned) {
+  const phy::ChipCodebook cb;
+  std::vector<std::uint8_t> bytes;
+  std::size_t failed = 0, succeeded = 0, relay_bits = 0, deferrals = 0;
+  const auto pin = [&](const PpArqConfig& config, std::uint64_t seed,
+                       std::size_t relays) {
+    // One to three rounds, so some exchanges end unfinished.
+    const std::size_t max_rounds = 1 + seed % 3;
+    Rng prng(seed);
+    const BitVec payload = RandomPayload(prng, 60);
+    const auto strategy = MakeRecoveryStrategy(config);
+    std::deque<Rng> runner_rngs;
+    const auto runner_channels = PinChannels(cb, seed, relays, runner_rngs);
+    const SessionRunStats runner =
+        relays == 0
+            ? RunRecoveryExchangeSession(payload, config, *strategy,
+                                         runner_channels.source_to_destination,
+                                         max_rounds)
+            : RunMultiRelayRecoveryExchange(payload, config, *strategy,
+                                            runner_channels, max_rounds);
+
+    std::deque<Rng> session_rngs;
+    const auto channels = PinChannels(cb, seed, relays, session_rngs);
+    SessionConfig topology = RelayTopology(channels);
+    topology.relay_airtime_budget_bits = config.relay_airtime_budget_bits;
+    const BitVec body = PpArqSender::MakeBody(payload);
+    RecoverySession session(std::move(topology));
+    session.AddParty(strategy->MakeSourceParticipant(body, 1));
+    session.AddParty(strategy->MakeDestinationParticipant(1, body.size() / 4));
+    for (std::size_t i = 0; i < relays; ++i) {
+      session.AddParty(strategy->MakeRelayParticipant(
+          static_cast<std::uint8_t>(i + 1), 1, body.size() / 4));
+    }
+    session.TransmitInitial(kSessionSourceId, body);
+    const SessionRunStats kept = session.Run(max_rounds);
+
+    std::vector<std::uint8_t> runner_bytes, kept_bytes;
+    AppendStats(runner_bytes, runner);
+    AppendStats(kept_bytes, kept);
+    EXPECT_EQ(runner_bytes, kept_bytes) << "seed " << seed;
+    bytes.insert(bytes.end(), runner_bytes.begin(), runner_bytes.end());
+    const auto assembled =
+        static_cast<DestinationParticipant&>(
+            session.party(kSessionDestinationId))
+            .AssembledPayload()
+            .ToBytes();
+    bytes.insert(bytes.end(), assembled.begin(), assembled.end());
+    (runner.totals.success ? succeeded : failed) += 1;
+    for (std::size_t i = 0; i < relays; ++i) {
+      relay_bits += runner.parties[kSessionRelayId + i].repair_bits;
+    }
+    deferrals += runner.relay_deferrals;
+  };
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    for (const auto mode :
+         {RecoveryMode::kChunkRetransmit, RecoveryMode::kCodedRepair}) {
+      PpArqConfig config;
+      config.recovery = mode;
+      pin(config, seed, 0);
+    }
+    for (std::size_t relays = 1; relays <= 3; ++relays) {
+      for (const std::size_t budget : {0, 1500}) {
+        PpArqConfig config;
+        config.recovery = RecoveryMode::kRelayCodedRepair;
+        config.relay_parties = relays;
+        config.relay_airtime_budget_bits = budget;
+        pin(config, seed, relays);
+      }
+    }
+  }
+
+  // Relay-mode legs over the testbed's links, independent and shared
+  // collisions: a recruiting threshold this high leaves some links
+  // without an overhearer, and those run two-party.
+  const auto links = sim::MakePaperConfig(3500.0, true, 1.0);
+  sim::RecoveryExperimentConfig recovery;
+  recovery.arq.recovery = RecoveryMode::kRelayCodedRepair;
+  recovery.payload_octets = 60;
+  recovery.packets_per_link = 3;
+  recovery.seed = 88;
+  recovery.num_threads = 2;
+  recovery.max_relays = 2;
+  recovery.relay_min_snr_db = 10.0;
+  std::size_t no_relay = 0, with_relay = 0;
+  for (const auto correlation : {CollisionCorrelation::kIndependent,
+                                 CollisionCorrelation::kSharedInterferer}) {
+    recovery.correlation = correlation;
+    for (const auto& link :
+         sim::RunLinkRecoveryExperiment(links, recovery).links) {
+      AppendLinkStats(bytes, link);
+      (link.relays.empty() ? no_relay : with_relay) += 1;
+    }
+  }
+
+  // The grid must exercise what it pins: finished and unfinished
+  // exchanges, relay repair and budget deferrals, and testbed links
+  // with and without a relay.
+  EXPECT_GT(failed, 10u);
+  EXPECT_GT(succeeded, 100u);
+  EXPECT_GT(relay_bits, 0u);
+  EXPECT_GT(deferrals, 0u);
+  EXPECT_GT(no_relay, 0u);
+  EXPECT_GT(with_relay, 0u);
+  EXPECT_EQ(Crc32(bytes), 0xEDB18824u);
 }
 
 }  // namespace
