@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "arq/recovery_session.h"
-#include "common/crc.h"
 
 namespace ppr::arq {
 
@@ -42,20 +41,15 @@ ArqRunStats RunWholePacketArq(const BitVec& payload_bits,
                               const BodyChannel& channel,
                               std::size_t max_rounds) {
   ArqRunStats stats;
-  BitVec body = payload_bits;
-  body.AppendUint(Crc32Bits(payload_bits), 32);
+  const BitVec body = PpArqSender::MakeBody(payload_bits);
 
   for (std::size_t round = 0; round < max_rounds; ++round) {
     stats.forward_bits += body.size();
     ++stats.data_transmissions;
     if (round > 0) stats.retransmission_bits.push_back(body.size());
 
-    const BitVec received = SymbolsToLogicalBits(channel(body));
-    const BitVec payload = received.Slice(0, received.size() - 32);
-    const auto crc =
-        static_cast<std::uint32_t>(received.ReadUint(received.size() - 32, 32));
     stats.feedback_bits += 1;  // ACK/NACK
-    if (Crc32Bits(payload) == crc) {
+    if (SoftPhyBody::CrcOk(SymbolsToLogicalBits(channel(body)))) {
       stats.success = true;
       return stats;
     }

@@ -1,9 +1,6 @@
 #include "arq/pp_arq.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "common/crc.h"
@@ -12,9 +9,45 @@
 namespace ppr::arq {
 namespace {
 
-constexpr double kForcedBadHint = std::numeric_limits<double>::infinity();
+// After this many feedback rounds without convergence the receiver
+// requests a full resend.
+constexpr std::size_t kMaxPartialRounds = 8;
 
 }  // namespace
+
+SoftPhyBody::SoftPhyBody(std::size_t total_codewords,
+                         std::size_t bits_per_codeword)
+    : bits_per_codeword(bits_per_codeword),
+      bits(total_codewords * bits_per_codeword, false),
+      hints(total_codewords, kForcedBadHint) {
+  if (bits.size() <= 32) {
+    throw std::invalid_argument(
+        "SoftPhyBody: body must exceed the 32-bit trailing CRC");
+  }
+}
+
+void SoftPhyBody::Merge(const std::vector<phy::DecodedSymbol>& symbols) {
+  if (symbols.size() != hints.size()) {
+    throw std::invalid_argument("IngestInitial: codeword count mismatch");
+  }
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    if (symbols[i].hint <= hints[i]) Write(i, symbols[i]);
+  }
+  received = true;
+}
+
+void SoftPhyBody::Write(std::size_t cw, const phy::DecodedSymbol& symbol) {
+  const auto bpc = static_cast<unsigned>(bits_per_codeword);
+  hints[cw] = symbol.hint;
+  bits.WriteUint(cw * bpc, symbol.symbol, bpc);
+}
+
+bool SoftPhyBody::CrcOk(const BitVec& body) {
+  const std::size_t payload_bits = body.size() - 32;
+  const auto stored =
+      static_cast<std::uint32_t>(body.ReadUint(payload_bits, 32));
+  return Crc32Bits(body.Slice(0, payload_bits)) == stored;
+}
 
 PpArqSender::PpArqSender(BitVec body_bits, std::uint16_t seq,
                          const PpArqConfig& config)
@@ -82,42 +115,25 @@ PpArqReceiver::PpArqReceiver(std::uint16_t seq, std::size_t total_codewords,
                              const PpArqConfig& config)
     : config_(config),
       seq_(seq),
-      bits_(total_codewords * config.bits_per_codeword, false),
-      hints_(total_codewords, kForcedBadHint) {
-  if (total_codewords * config.bits_per_codeword <= 32) {
-    throw std::invalid_argument(
-        "PpArqReceiver: body must exceed the 32-bit trailing CRC");
-  }
-}
+      body_(total_codewords, config.bits_per_codeword) {}
 
 void PpArqReceiver::IngestInitial(
     const std::vector<phy::DecodedSymbol>& symbols) {
-  if (symbols.size() != hints_.size()) {
-    throw std::invalid_argument("IngestInitial: codeword count mismatch");
-  }
-  const auto bpc = static_cast<unsigned>(config_.bits_per_codeword);
-  for (std::size_t i = 0; i < symbols.size(); ++i) {
-    if (symbols[i].hint <= hints_[i]) {
-      hints_[i] = symbols[i].hint;
-      bits_.WriteUint(i * bpc, symbols[i].symbol, bpc);
-    }
-  }
-  received_anything_ = true;
+  body_.Merge(symbols);
 }
 
 void PpArqReceiver::IngestRetransmission(
     const std::vector<ReceivedSegment>& segments) {
-  const auto bpc = static_cast<unsigned>(config_.bits_per_codeword);
   for (const auto& seg : segments) {
     if (seg.symbols.size() != seg.range.length ||
-        seg.range.offset + seg.range.length > hints_.size()) {
+        seg.range.offset + seg.range.length > total_codewords()) {
       continue;  // malformed segment; ignore, next round re-requests
     }
     const bool solicited = CoveredByRequests(seg.range, last_requests_);
     for (std::size_t k = 0; k < seg.range.length; ++k) {
       const std::size_t cw = seg.range.offset + k;
       const auto& sym = seg.symbols[k];
-      bool take = sym.hint <= hints_[cw];
+      bool take = sym.hint <= body_.hints[cw];
       if (!solicited && !take) {
         // Gap correction: the sender says our stored copy is wrong. If
         // the new copy looks good, take it anyway; otherwise poison the
@@ -125,30 +141,18 @@ void PpArqReceiver::IngestRetransmission(
         if (sym.hint <= config_.eta) {
           take = true;
         } else {
-          hints_[cw] = kForcedBadHint;
+          body_.hints[cw] = SoftPhyBody::kForcedBadHint;
         }
       }
-      if (take) {
-        hints_[cw] = sym.hint;
-        bits_.WriteUint(cw * bpc, sym.symbol, bpc);
-      }
+      if (take) body_.Write(cw, sym);
     }
   }
 }
 
-bool PpArqReceiver::Complete() const {
-  if (!received_anything_) return false;
-  const std::size_t payload_bits = bits_.size() - 32;
-  const BitVec payload = bits_.Slice(0, payload_bits);
-  const auto stored_crc =
-      static_cast<std::uint32_t>(bits_.ReadUint(payload_bits, 32));
-  return Crc32Bits(payload) == stored_crc;
-}
-
 std::vector<bool> PpArqReceiver::Labels() const {
-  std::vector<bool> labels(hints_.size());
-  for (std::size_t i = 0; i < hints_.size(); ++i) {
-    labels[i] = hints_[i] <= config_.eta;
+  std::vector<bool> labels(total_codewords());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    labels[i] = body_.hints[i] <= config_.eta;
   }
   return labels;
 }
@@ -160,10 +164,10 @@ std::optional<FeedbackPacket> PpArqReceiver::BuildFeedback() {
   FeedbackPacket fb;
   fb.seq = seq_;
 
-  if (rounds_ > config_.max_partial_rounds) {
+  if (rounds_ > kMaxPartialRounds) {
     // Escalate: partial recovery is not converging (e.g. persistent
     // misses below threshold); ask for everything.
-    fb.requests = {CodewordRange{0, hints_.size()}};
+    fb.requests = {CodewordRange{0, total_codewords()}};
     last_requests_ = fb.requests;
     return fb;
   }
@@ -173,13 +177,13 @@ std::optional<FeedbackPacket> PpArqReceiver::BuildFeedback() {
     // CRC fails yet everything is labeled good: an undetected miss.
     // Request the full body; the gap-verification path would also catch
     // this, but only after a round trip.
-    fb.requests = {CodewordRange{0, hints_.size()}};
+    fb.requests = {CodewordRange{0, total_codewords()}};
     last_requests_ = fb.requests;
     return fb;
   }
 
   ChunkingConfig chunk_config;
-  chunk_config.packet_bits = bits_.size();
+  chunk_config.packet_bits = body_.bits.size();
   chunk_config.checksum_bits = config_.checksum_bits;
   chunk_config.bits_per_codeword = config_.bits_per_codeword;
   const auto chunking = ComputeOptimalChunks(runs, chunk_config);
@@ -192,12 +196,8 @@ std::optional<FeedbackPacket> PpArqReceiver::BuildFeedback() {
 }
 
 BitVec PpArqReceiver::EncodeFeedbackWire(const FeedbackPacket& feedback) const {
-  return EncodeFeedback(feedback, bits_, hints_.size(),
+  return EncodeFeedback(feedback, body_.bits, total_codewords(),
                         config_.bits_per_codeword, config_.checksum_bits);
-}
-
-BitVec PpArqReceiver::AssembledPayload() const {
-  return bits_.Slice(0, bits_.size() - 32);
 }
 
 bool CoveredByRequests(const CodewordRange& range,

@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -59,30 +60,56 @@ struct PpArqConfig {
   double eta = softphy::kDefaultEta;  // SoftPHY threshold
   std::size_t bits_per_codeword = 4;
   std::size_t checksum_bits = 32;
-  // After this many feedback rounds without convergence the receiver
-  // requests a full resend; after 2x this many it reports failure.
-  std::size_t max_partial_rounds = 8;
   RecoveryMode recovery = RecoveryMode::kChunkRetransmit;
-  // Coded-repair knobs: codewords per FEC symbol (symbol bits must be
-  // whole octets); the prior fractional loss assumed for repair symbols
-  // before any delivery evidence (burst sizing is adaptive, see
-  // arq/adaptive_burst.h — this seeds the round-one estimate at
-  // 1 / (1 + repair_overhead)); and the per-round completion
-  // probability bursts are sized to hit.
+  // Coded repair: codewords per FEC symbol (symbol bits must be whole
+  // octets). Burst sizing is adaptive (arq/adaptive_burst.h).
   std::size_t codewords_per_fec_symbol = 16;
-  double repair_overhead = 0.25;
-  double repair_target_completion = 0.9;
   // kRelayCodedRepair: the relay roster size the session plans for.
   // The destination's feedback wire carries one requested count per
   // repair party (source first, then relay ids 1..relay_parties), and
-  // MakeRelayParticipant accepts ids in that range. 1 reproduces the
-  // original single-relay Crelay configuration.
+  // MakeRelayParticipant builds ids in that range. 0 is the two-party
+  // coded exchange; 1 the original single-relay Crelay configuration.
   std::size_t relay_parties = 1;
   // Per-round cap on TOTAL relay repair airtime (bits, descriptors
   // included); 0 = unlimited. Enforced by RecoverySession: relays are
   // serviced in ExOR order (best observed overhear quality first) and
   // each truncates or defers once the round's budget is spent.
   std::size_t relay_airtime_budget_bits = 0;
+};
+
+// The SoftPHY-labelled image of a packet body (payload || CRC-32) that
+// a receiving party assembles: per codeword, the bits of the copy with
+// the best (lowest) hint heard so far. PpArqReceiver, the coded
+// destination and the overhearing relay (arq/recovery_strategy.cc)
+// share it, so every party turns codewords into bits, and checks the
+// trailing CRC-32, the same way.
+struct SoftPhyBody {
+  // The hint of a codeword with no trustworthy copy: never labelled
+  // good, and replaced by any copy heard.
+  static constexpr double kForcedBadHint =
+      std::numeric_limits<double>::infinity();
+
+  // Throws std::invalid_argument unless the body is longer than its
+  // 32-bit CRC.
+  SoftPhyBody(std::size_t total_codewords, std::size_t bits_per_codeword);
+
+  // Best-hint merge of one copy of the whole body (one DecodedSymbol per
+  // codeword): each codeword takes the new copy unless it holds one
+  // with a strictly lower hint.
+  void Merge(const std::vector<phy::DecodedSymbol>& symbols);
+  // Overwrites codeword `cw`, hint included.
+  void Write(std::size_t cw, const phy::DecodedSymbol& symbol);
+
+  // True once a copy has been merged and the trailing CRC-32 verifies.
+  bool Complete() const { return received && CrcOk(bits); }
+  BitVec Payload() const { return bits.Slice(0, bits.size() - 32); }
+  // True when the last 32 bits of `body` are the CRC-32 of the rest.
+  static bool CrcOk(const BitVec& body);
+
+  std::size_t bits_per_codeword;
+  BitVec bits;
+  std::vector<double> hints;  // one per codeword
+  bool received = false;
 };
 
 // A retransmitted segment as decoded at the receiver: hints accompany
@@ -138,10 +165,10 @@ class PpArqReceiver {
 
   // True once the assembled payload verifies against the assembled
   // CRC-32 (the last 32 bits of the body).
-  bool Complete() const;
+  bool Complete() const { return body_.Complete(); }
 
-  // Feedback for the next round; nullopt when Complete(). After
-  // max_partial_rounds the request escalates to the entire body.
+  // Feedback for the next round; nullopt when Complete(). After eight
+  // partial rounds the request escalates to the entire body.
   std::optional<FeedbackPacket> BuildFeedback();
 
   // Wire encoding of the given feedback against the current assembly
@@ -149,22 +176,20 @@ class PpArqReceiver {
   BitVec EncodeFeedbackWire(const FeedbackPacket& feedback) const;
 
   // Assembled body/payload.
-  const BitVec& AssembledBody() const { return bits_; }
-  BitVec AssembledPayload() const;
+  const BitVec& AssembledBody() const { return body_.bits; }
+  BitVec AssembledPayload() const { return body_.Payload(); }
 
   std::size_t rounds() const { return rounds_; }
-  std::size_t total_codewords() const { return hints_.size(); }
+  std::size_t total_codewords() const { return body_.hints.size(); }
 
  private:
   std::vector<bool> Labels() const;
 
   PpArqConfig config_;
   std::uint16_t seq_;
-  BitVec bits_;                        // current body image
-  std::vector<double> hints_;          // per-codeword best hint so far
+  SoftPhyBody body_;
   std::vector<CodewordRange> last_requests_;
   std::size_t rounds_ = 0;
-  bool received_anything_ = false;
 };
 
 // True when `range` appears (exactly or as a sub-range) in `requests`.

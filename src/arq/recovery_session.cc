@@ -286,28 +286,6 @@ SessionRunStats RecoverySession::Run(std::size_t max_rounds) {
   return stats_;
 }
 
-SessionRunStats RunRecoveryExchangeSession(const BitVec& payload_bits,
-                                           const PpArqConfig& config,
-                                           const RecoveryStrategy& strategy,
-                                           const BodyChannel& channel,
-                                           std::size_t max_rounds) {
-  const BitVec body = PpArqSender::MakeBody(payload_bits);
-  if (body.size() % config.bits_per_codeword != 0) {
-    throw std::invalid_argument(
-        "RunRecoveryExchangeSession: body bits must be whole codewords");
-  }
-  SessionConfig topology;
-  topology.edges.push_back(
-      {kSessionSourceId, kSessionDestinationId, channel});
-  RecoverySession session(std::move(topology));
-  const PartyId source =
-      session.AddParty(strategy.MakeSourceParticipant(body, /*seq=*/1));
-  session.AddParty(strategy.MakeDestinationParticipant(
-      /*seq=*/1, body.size() / config.bits_per_codeword));
-  session.TransmitInitial(source, body);
-  return session.Run(max_rounds);
-}
-
 SessionRunStats RunMultiRelayRecoveryExchange(
     const BitVec& payload_bits, const PpArqConfig& config,
     const RecoveryStrategy& strategy,
@@ -319,11 +297,6 @@ SessionRunStats RunMultiRelayRecoveryExchange(
         "be the same length");
   }
   const std::size_t num_relays = channels.relay_to_destination.size();
-  if (num_relays == 0 || config.relay_parties < num_relays) {
-    throw std::invalid_argument(
-        "RunMultiRelayRecoveryExchange: config.relay_parties must cover "
-        "the relay roster");
-  }
   const BitVec body = PpArqSender::MakeBody(payload_bits);
   if (body.size() % config.bits_per_codeword != 0) {
     throw std::invalid_argument(
@@ -367,12 +340,24 @@ SessionRunStats RunMultiRelayRecoveryExchange(
         static_cast<std::uint8_t>(i + 1), /*seq=*/1, total_codewords);
     if (!relay) {
       throw std::invalid_argument(
-          "RunMultiRelayRecoveryExchange: strategy has no relay role");
+          "RunMultiRelayRecoveryExchange: the strategy's relay roster "
+          "does not cover the channels");
     }
     session.AddParty(std::move(relay));
   }
   session.TransmitInitial(source, body);
   return session.Run(max_rounds);
+}
+
+SessionRunStats RunRecoveryExchangeSession(const BitVec& payload_bits,
+                                           const PpArqConfig& config,
+                                           const RecoveryStrategy& strategy,
+                                           const BodyChannel& channel,
+                                           std::size_t max_rounds) {
+  MultiRelayExchangeChannels channels;
+  channels.source_to_destination = channel;
+  return RunMultiRelayRecoveryExchange(payload_bits, config, strategy,
+                                       channels, max_rounds);
 }
 
 }  // namespace ppr::arq

@@ -274,21 +274,21 @@ inline constexpr PartyId kSessionDestinationId = 1;
 inline constexpr PartyId kSessionRelayId = 2;
 
 // Runs one packet through a source + N relays + destination session
-// under `strategy` (the relay parties come from MakeRelayParticipant
-// and must be supported; `config.relay_parties` must cover the roster,
-// and `config.relay_airtime_budget_bits` becomes the session's
-// per-round relay budget). Every relay overhears the initial
-// transmission on its own channel and answers the destination's
-// broadcast feedback, scheduled by the engine. N = 1 is the canonical
-// three-party (Crelay) topology.
+// under `strategy`: relay i comes from MakeRelayParticipant(i + 1),
+// which must be on the strategy's roster, and
+// `config.relay_airtime_budget_bits` becomes the session's per-round
+// relay budget. Every relay overhears the initial transmission on its
+// own channel and answers the destination's broadcast feedback,
+// scheduled by the engine. N = 0 is the two-party exchange, N = 1 the
+// canonical three-party (Crelay) topology.
 SessionRunStats RunMultiRelayRecoveryExchange(
     const BitVec& payload_bits, const PpArqConfig& config,
     const RecoveryStrategy& strategy,
     const MultiRelayExchangeChannels& channels, std::size_t max_rounds = 32);
 
-// Runs one packet through the two-party (source + destination)
-// session under `strategy`, over one channel. RunPpArqExchange
-// (arq/link_sim.h) reports this run's totals.
+// The zero-relay RunMultiRelayRecoveryExchange: one packet through the
+// two-party (source + destination) session under `strategy`, over one
+// channel. RunPpArqExchange (arq/link_sim.h) reports this run's totals.
 SessionRunStats RunRecoveryExchangeSession(const BitVec& payload_bits,
                                            const PpArqConfig& config,
                                            const RecoveryStrategy& strategy,

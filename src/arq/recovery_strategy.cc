@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "arq/adaptive_burst.h"
@@ -25,7 +24,11 @@ constexpr unsigned kSeedBits = 32;
 // one further bit per FEC source symbol).
 constexpr unsigned kOriginBits = 8;
 constexpr unsigned kSuspicionBits = 16;
-constexpr double kForcedBadHint = std::numeric_limits<double>::infinity();
+// The coded destination sizes its bursts (arq/adaptive_burst.h) for
+// this per-round completion probability, starting from a delivery
+// rate prior of 1 / (1 + kRepairPriorOverhead) for every repair party.
+constexpr double kRepairPriorOverhead = 0.25;
+constexpr double kRepairTargetCompletion = 0.9;
 
 // Burst requests are bounded so a floor-clamped delivery estimate
 // cannot ask for unbounded streams; both ends compute the same cap so
@@ -34,56 +37,27 @@ std::size_t MaxRepairBurst(std::size_t num_source) {
   return std::min<std::size_t>(0xFFFF, 4 * num_source);
 }
 
-// The SoftPHY-labeled image of a packet body any coded party (the
-// destination, an overhearing relay) assembles from the initial
-// transmission: per-codeword best-hint merge of decoded symbols, plus
-// the FEC-symbol trust labeling derived from the hints. One shared
-// definition keeps every party's view of the codeword-to-bits
-// convention identical.
-struct SoftPhyBody {
-  BitVec bits;
-  std::vector<double> hints;
-  bool received = false;
-
-  SoftPhyBody(std::size_t total_codewords, std::size_t bits_per_codeword)
-      : bits(total_codewords * bits_per_codeword, false),
-        hints(total_codewords, kForcedBadHint) {}
-
-  void Merge(const std::vector<phy::DecodedSymbol>& symbols,
-             std::size_t bits_per_codeword) {
-    if (symbols.size() != hints.size()) {
-      throw std::invalid_argument("IngestInitial: codeword count mismatch");
-    }
-    const auto bpc = static_cast<unsigned>(bits_per_codeword);
-    for (std::size_t i = 0; i < symbols.size(); ++i) {
-      if (symbols[i].hint <= hints[i]) {
-        hints[i] = symbols[i].hint;
-        bits.WriteUint(i * bpc, symbols[i].symbol, bpc);
-      }
-    }
-    received = true;
-  }
-
-  // Per-FEC-symbol labeling: good[s] iff every codeword in symbol s
-  // clears the eta threshold; suspicion[s] is the symbol's worst hint.
-  struct Labels {
-    std::vector<bool> good;
-    std::vector<double> suspicion;
-  };
-  Labels Label(std::size_t codewords_per_symbol, double eta) const {
-    const std::size_t n =
-        (hints.size() + codewords_per_symbol - 1) / codewords_per_symbol;
-    Labels out;
-    out.good.assign(n, true);
-    out.suspicion.assign(n, 0.0);
-    for (std::size_t cw = 0; cw < hints.size(); ++cw) {
-      const std::size_t s = cw / codewords_per_symbol;
-      if (hints[cw] > eta) out.good[s] = false;
-      out.suspicion[s] = std::max(out.suspicion[s], hints[cw]);
-    }
-    return out;
-  }
+// Per-FEC-symbol labelling of a coded party's body image: good[s] iff
+// every codeword in symbol s clears the eta threshold; suspicion[s] is
+// the symbol's worst hint.
+struct FecSymbolLabels {
+  std::vector<bool> good;
+  std::vector<double> suspicion;
 };
+FecSymbolLabels LabelFecSymbols(const SoftPhyBody& body,
+                                std::size_t codewords_per_symbol, double eta) {
+  const std::size_t n =
+      (body.hints.size() + codewords_per_symbol - 1) / codewords_per_symbol;
+  FecSymbolLabels out;
+  out.good.assign(n, true);
+  out.suspicion.assign(n, 0.0);
+  for (std::size_t cw = 0; cw < body.hints.size(); ++cw) {
+    const std::size_t s = cw / codewords_per_symbol;
+    if (body.hints[cw] > eta) out.good[s] = false;
+    out.suspicion[s] = std::max(out.suspicion[s], body.hints[cw]);
+  }
+  return out;
+}
 
 // The one repair message a source sends in answer to `feedback`,
 // before its frames and airtime are filled in.
@@ -187,8 +161,6 @@ class ChunkRetransmitStrategy : public RecoveryStrategy {
  public:
   explicit ChunkRetransmitStrategy(const PpArqConfig& config)
       : config_(config) {}
-
-  const char* Name() const override { return "chunk-retransmit"; }
 
   std::unique_ptr<RecoveryParticipant> MakeSourceParticipant(
       const BitVec& body_bits, std::uint16_t seq) const override {
@@ -320,33 +292,36 @@ class CodedRepairSource : public RecoveryParticipant {
   std::uint32_t next_seed_ = 1;
 };
 
-// Shared destination core of the coded strategies: SoftPHY-labeled
-// assembly of the initial transmission, the bridge into
-// fec::CodedRepairSession, record parsing, decode-verify-evict, and the
-// kEquations rows a collision listener hands over. Subclasses own the
-// feedback wire (how much to request, from whom).
-class CodedReceiverBase : public DestinationParticipant {
+// The coded destination: S-PRAC between two parties, Crelay with
+// overhearing relays. It assembles the SoftPHY-labelled body of the
+// initial transmission, bridges it into fec::CodedRepairSession, parses
+// repair records, decodes, verifies and evicts, and banks the
+// kEquations rows a collision listener hands over.
+//
+// Each round it splits the deficit across the source and its relays in
+// proportion to their observed repair-symbol delivery rates ("who is
+// cheaper to hear"), then sizes each share for the target completion
+// probability at that party's own rate. Relay shares are floored, so
+// the source always absorbs the rounding remainder and gets at least
+// one symbol of any nonzero deficit: its equations are correct by
+// construction, so progress is guaranteed even against relays that
+// stream only poison. With no relays the source's share is the whole
+// deficit and the wire carries its one count.
+class CodedDestination : public DestinationParticipant {
  public:
-  CodedReceiverBase(std::uint16_t seq, std::size_t total_codewords,
-                    const PpArqConfig& config)
+  CodedDestination(std::uint16_t seq, std::size_t total_codewords,
+                   std::size_t relays, const PpArqConfig& config)
       : config_(config),
         seq_(seq),
-        body_(total_codewords, config.bits_per_codeword) {
-    if (total_codewords * config.bits_per_codeword <= 32) {
-      throw std::invalid_argument(
-          "CodedReceiverBase: body must exceed the 32-bit trailing CRC");
-    }
-  }
+        body_(total_codewords, config.bits_per_codeword),
+        estimators_(1 + relays, RepairDeliveryEstimator(
+                                    1.0 / (1.0 + kRepairPriorOverhead))) {}
 
   void IngestInitial(const std::vector<phy::DecodedSymbol>& symbols) override {
-    body_.Merge(symbols, config_.bits_per_codeword);
+    body_.Merge(symbols);
   }
 
-  bool Complete() const override {
-    if (decoded_ok_) return true;
-    if (!body_.received) return false;
-    return BodyCrcOk(body_.bits);
-  }
+  bool Complete() const override { return decoded_ok_ || body_.Complete(); }
 
   std::vector<SessionMessage> StartRound() override {
     if (Complete()) return {};
@@ -371,203 +346,20 @@ class CodedReceiverBase : public DestinationParticipant {
     return {};
   }
 
-  BitVec AssembledPayload() const override {
-    return body_.bits.Slice(0, body_.bits.size() - 32);
-  }
+  BitVec AssembledPayload() const override { return body_.Payload(); }
 
   std::size_t EquationRank() const override { return equation_rank_; }
 
- protected:
-  // The strategy-specific feedback, built while incomplete (the session
-  // exists and its deficit is current).
-  virtual BitVec BuildRequestWire() = 0;
-  virtual void IngestRepairFrame(const ReceivedRepairFrame& frame) = 0;
-
-  std::size_t Deficit() const { return session_->Deficit(); }
+ private:
   std::size_t NumSourceSymbols() const {
     const std::size_t cps = config_.codewords_per_fec_symbol;
     return (body_.hints.size() + cps - 1) / cps;
   }
-  fec::CodedRepairSession& session() { return *session_; }
-  const PpArqConfig& config() const { return config_; }
-  std::uint16_t seq() const { return seq_; }
 
-  // Consumes a source-originated frame: every CRC-valid record is a
-  // trusted repair symbol with seed aux + k (the source's plain-counter
-  // partition); `estimator` learns the delivery count.
-  void ConsumeSourceFrame(const ReceivedRepairFrame& f,
-                          RepairDeliveryEstimator& estimator) {
-    const std::size_t valid = ForEachValidRecord(f, [&](std::size_t k,
-                                                        const BitVec& data) {
-      session().ConsumeRepair(fec::RepairSymbol{
-          f.aux + static_cast<std::uint32_t>(k), data.ToBytes()});
-    });
-    estimator.OnDelivered(valid);
-  }
-
-  // Walks the [data || CRC-32] records of one frame, invoking
-  // `on_record(k, data)` for each record whose CRC verifies; corrupted
-  // records are dropped individually. Returns the number of valid
-  // records.
-  template <typename OnRecord>
-  std::size_t ForEachValidRecord(const ReceivedRepairFrame& f,
-                                 const OnRecord& on_record) {
-    const std::size_t payload_bits = session_->symbol_bytes() * 8;
-    const std::size_t record_bits = payload_bits + 32;
-    BitVec rb;
-    for (const auto& s : f.symbols) {
-      rb.AppendUint(s.symbol, static_cast<unsigned>(config_.bits_per_codeword));
-    }
-    const std::size_t count = rb.size() / record_bits;
-    std::size_t valid = 0;
-    for (std::size_t k = 0; k < count; ++k) {
-      const BitVec data = rb.Slice(k * record_bits, payload_bits);
-      const auto crc = static_cast<std::uint32_t>(
-          rb.ReadUint(k * record_bits + payload_bits, 32));
-      if (Crc32Bits(data) != crc) continue;
-      ++valid;
-      on_record(k, data);
-    }
-    return valid;
-  }
-
- private:
-  void EnsureSession() {
-    if (session_.has_value()) return;
-    const std::size_t cps = config_.codewords_per_fec_symbol;
-    auto symbols =
-        fec::BodyToSymbols(body_.bits, config_.bits_per_codeword, cps);
-    auto labels = body_.Label(cps, config_.eta);
-    session_.emplace(std::move(symbols), std::move(labels.good),
-                     std::move(labels.suspicion));
-  }
-
-  void TryFinish() {
-    if (!session_.has_value() || decoded_ok_) return;
-    while (session_->CanDecode()) {
-      const BitVec decoded =
-          fec::SymbolsToBody(session_->Decode(), body_.bits.size());
-      if (BodyCrcOk(decoded)) {
-        body_.bits = decoded;
-        decoded_ok_ = true;
-        return;
-      }
-      // Wrong basis: a confident-but-wrong row (the receiver's own
-      // SoftPHY miss, or a relay equation built from one). Distrust the
-      // most suspect rows and keep consuming rank.
-      if (session_->EvictSuspects() == 0) return;
-    }
-  }
-
-  // Rows a collision listener distilled from collided receptions,
-  // banked as they arrive (the listener opens the first round, before
-  // this destination's feedback) and evictable as a group under the
-  // collision provenance tag. Rows whose widths do not match the FEC
-  // block are skipped; the rank gained is the drop in deficit.
-  void BankEquations(const std::vector<collide::CollisionEquation>& equations) {
-    EnsureSession();
-    const std::size_t before = session_->Deficit();
-    for (const auto& eq : equations) {
-      if (eq.coefs.size() != NumSourceSymbols()) continue;
-      if (eq.data.size() != session_->symbol_bytes()) continue;
-      session_->ConsumeEquation(eq.coefs, eq.data, eq.suspicion,
-                                /*evictable=*/true,
-                                /*party=*/fec::kCollisionResolvedParty);
-    }
-    equation_rank_ += before - session_->Deficit();
-    TryFinish();
-  }
-
-  bool BodyCrcOk(const BitVec& body) const {
-    const std::size_t payload_bits = body.size() - 32;
-    const auto stored =
-        static_cast<std::uint32_t>(body.ReadUint(payload_bits, 32));
-    return Crc32Bits(body.Slice(0, payload_bits)) == stored;
-  }
-
-  PpArqConfig config_;
-  std::uint16_t seq_;
-  SoftPhyBody body_;
-  std::optional<fec::CodedRepairSession> session_;
-  bool decoded_ok_ = false;
-  std::size_t equation_rank_ = 0;
-};
-
-// Two-party coded destination: one estimator, a one-party wire.
-class CodedRepairReceiver : public CodedReceiverBase {
- public:
-  CodedRepairReceiver(std::uint16_t seq, std::size_t total_codewords,
-                      const PpArqConfig& config)
-      : CodedReceiverBase(seq, total_codewords, config),
-        estimator_(1.0 / (1.0 + config.repair_overhead)) {}
-
- protected:
-  BitVec BuildRequestWire() override {
-    const std::size_t n = BurstSizeForTarget(
-        Deficit(), estimator_.DeliveryRate(), config().repair_target_completion,
-        MaxRepairBurst(NumSourceSymbols()));
-    estimator_.OnRequested(n);
-    return EncodeCodedFeedbackWire(CodedFeedbackWire{seq(), {n}});
-  }
-
-  void IngestRepairFrame(const ReceivedRepairFrame& f) override {
-    ConsumeSourceFrame(f, estimator_);
-  }
-
- private:
-  RepairDeliveryEstimator estimator_;
-};
-
-class CodedRepairStrategy : public RecoveryStrategy {
- public:
-  explicit CodedRepairStrategy(const PpArqConfig& config) : config_(config) {
-    const std::size_t symbol_bits =
-        config.bits_per_codeword * config.codewords_per_fec_symbol;
-    if (symbol_bits == 0 || symbol_bits % 8 != 0) {
-      throw std::invalid_argument(
-          "CodedRepairStrategy: FEC symbol must be whole octets");
-    }
-  }
-
-  const char* Name() const override { return "coded-repair"; }
-
-  std::unique_ptr<RecoveryParticipant> MakeSourceParticipant(
-      const BitVec& body_bits, std::uint16_t seq) const override {
-    return std::make_unique<CodedRepairSource>(body_bits, seq, config_);
-  }
-
-  std::unique_ptr<DestinationParticipant> MakeDestinationParticipant(
-      std::uint16_t seq, std::size_t total_codewords) const override {
-    return std::make_unique<CodedRepairReceiver>(seq, total_codewords,
-                                                 config_);
-  }
-
- private:
-  PpArqConfig config_;
-};
-
-// ------------------------------------------------------------- relay-coded
-
-// Destination of the generalized Crelay strategy: splits each round's
-// deficit across the source and N relays in proportion to their
-// observed repair-symbol delivery rates ("who is cheaper to hear"),
-// then sizes each share for the target completion probability at that
-// party's own rate. Relay shares are floored, so the source always
-// absorbs the rounding remainder and gets at least one symbol of any
-// nonzero deficit: its equations are correct by construction, so
-// progress is guaranteed even against relays that stream only poison.
-// With one relay the allocation is exactly the original two-way split.
-class RelayCodedReceiver : public CodedReceiverBase {
- public:
-  RelayCodedReceiver(std::uint16_t seq, std::size_t total_codewords,
-                     const PpArqConfig& config)
-      : CodedReceiverBase(seq, total_codewords, config),
-        estimators_(1 + config.relay_parties,
-                    RepairDeliveryEstimator(1.0 / (1.0 + config.repair_overhead))) {}
-
- protected:
-  BitVec BuildRequestWire() override {
-    const std::size_t deficit = Deficit();
+  // The feedback wire, built while incomplete (the session exists and
+  // its deficit is current): one requested count per repair party.
+  BitVec BuildRequestWire() {
+    const std::size_t deficit = session_->Deficit();
     const std::size_t parties = estimators_.size();
     std::vector<double> rate(parties);
     double rate_sum = 0.0;
@@ -626,47 +418,131 @@ class RelayCodedReceiver : public CodedReceiverBase {
       }
     }
     const std::size_t cap = MaxRepairBurst(NumSourceSymbols());
-    const double target = config().repair_target_completion;
     CodedFeedbackWire fb;
-    fb.seq = seq();
+    fb.seq = seq_;
     fb.requested.reserve(parties);
     for (std::size_t i = 0; i < parties; ++i) {
-      const std::size_t n = BurstSizeForTarget(share[i], rate[i], target, cap);
+      const std::size_t n =
+          BurstSizeForTarget(share[i], rate[i], kRepairTargetCompletion, cap);
       estimators_[i].OnRequested(n);
       fb.requested.push_back(n);
     }
     return EncodeCodedFeedbackWire(fb);
   }
 
-  void IngestRepairFrame(const ReceivedRepairFrame& f) override {
+  void IngestRepairFrame(const ReceivedRepairFrame& f) {
+    if (f.origin >= estimators_.size()) return;  // not on the roster
     if (f.origin == 0) {
-      ConsumeSourceFrame(f, estimators_[0]);
+      // The source's frames: every CRC-valid record is a trusted repair
+      // symbol with seed aux + k (the source's plain-counter partition).
+      estimators_[0].OnDelivered(ForEachValidRecord(
+          f, [&](std::size_t k, const BitVec& data) {
+            session_->ConsumeRepair(fec::RepairSymbol{
+                f.aux + static_cast<std::uint32_t>(k), data.ToBytes()});
+          }));
       return;
     }
-    if (f.origin >= estimators_.size()) return;  // not on the roster
     // A relay equation spans only the symbols its mask names; its
-    // correctness rests on the relay's own SoftPHY labeling, so it is
+    // correctness rests on the relay's own SoftPHY labelling, so it is
     // banked evictable under the relay-reported suspicion, with the
     // relay id as provenance so a poisoned relay's stream is evicted
     // as a group.
     if (f.coef_mask.size() != NumSourceSymbols()) return;
     std::vector<bool> have(f.coef_mask.size());
     for (std::size_t i = 0; i < have.size(); ++i) have[i] = f.coef_mask.Get(i);
-    const std::size_t valid = ForEachValidRecord(f, [&](std::size_t k,
-                                                        const BitVec& data) {
-      // Record k's seed is counter-consecutive with the frame's base
-      // seed INSIDE the origin's 24-bit partition (fec::PartySeed), so
-      // the reconstruction wraps exactly as the relay's counter did.
-      const std::uint32_t seed = fec::PartySeed(
-          f.origin, fec::SeedCounter(f.aux) + static_cast<std::uint32_t>(k));
-      session().ConsumeEquation(fec::MaskedCoefficients(seed, have),
-                                data.ToBytes(), f.suspicion,
-                                /*evictable=*/true, /*party=*/f.origin);
-    });
-    estimators_[f.origin].OnDelivered(valid);
+    estimators_[f.origin].OnDelivered(ForEachValidRecord(
+        f, [&](std::size_t k, const BitVec& data) {
+          // Record k's seed is counter-consecutive with the frame's base
+          // seed INSIDE the origin's 24-bit partition (fec::PartySeed),
+          // so the reconstruction wraps exactly as the relay's counter
+          // did.
+          const std::uint32_t seed = fec::PartySeed(
+              f.origin,
+              fec::SeedCounter(f.aux) + static_cast<std::uint32_t>(k));
+          session_->ConsumeEquation(fec::MaskedCoefficients(seed, have),
+                                    data.ToBytes(), f.suspicion,
+                                    /*evictable=*/true, /*party=*/f.origin);
+        }));
   }
 
- private:
+  // Walks the [data || CRC-32] records of one frame, invoking
+  // `on_record(k, data)` for each record whose CRC verifies; corrupted
+  // records are dropped individually. Returns the number of valid
+  // records.
+  template <typename OnRecord>
+  std::size_t ForEachValidRecord(const ReceivedRepairFrame& f,
+                                 const OnRecord& on_record) {
+    const std::size_t payload_bits = session_->symbol_bytes() * 8;
+    const std::size_t record_bits = payload_bits + 32;
+    BitVec rb;
+    for (const auto& s : f.symbols) {
+      rb.AppendUint(s.symbol, static_cast<unsigned>(config_.bits_per_codeword));
+    }
+    const std::size_t count = rb.size() / record_bits;
+    std::size_t valid = 0;
+    for (std::size_t k = 0; k < count; ++k) {
+      const BitVec data = rb.Slice(k * record_bits, payload_bits);
+      const auto crc = static_cast<std::uint32_t>(
+          rb.ReadUint(k * record_bits + payload_bits, 32));
+      if (Crc32Bits(data) != crc) continue;
+      ++valid;
+      on_record(k, data);
+    }
+    return valid;
+  }
+
+  void EnsureSession() {
+    if (session_.has_value()) return;
+    const std::size_t cps = config_.codewords_per_fec_symbol;
+    auto symbols =
+        fec::BodyToSymbols(body_.bits, config_.bits_per_codeword, cps);
+    auto labels = LabelFecSymbols(body_, cps, config_.eta);
+    session_.emplace(std::move(symbols), std::move(labels.good),
+                     std::move(labels.suspicion));
+  }
+
+  void TryFinish() {
+    if (!session_.has_value() || decoded_ok_) return;
+    while (session_->CanDecode()) {
+      const BitVec decoded =
+          fec::SymbolsToBody(session_->Decode(), body_.bits.size());
+      if (SoftPhyBody::CrcOk(decoded)) {
+        body_.bits = decoded;
+        decoded_ok_ = true;
+        return;
+      }
+      // Wrong basis: a confident-but-wrong row (the receiver's own
+      // SoftPHY miss, or a relay equation built from one). Distrust the
+      // most suspect rows and keep consuming rank.
+      if (session_->EvictSuspects() == 0) return;
+    }
+  }
+
+  // Rows a collision listener distilled from collided receptions,
+  // banked as they arrive (the listener opens the first round, before
+  // this destination's feedback) and evictable as a group under the
+  // collision provenance tag. Rows whose widths do not match the FEC
+  // block are skipped; the rank gained is the drop in deficit.
+  void BankEquations(const std::vector<collide::CollisionEquation>& equations) {
+    EnsureSession();
+    const std::size_t before = session_->Deficit();
+    for (const auto& eq : equations) {
+      if (eq.coefs.size() != NumSourceSymbols()) continue;
+      if (eq.data.size() != session_->symbol_bytes()) continue;
+      session_->ConsumeEquation(eq.coefs, eq.data, eq.suspicion,
+                                /*evictable=*/true,
+                                /*party=*/fec::kCollisionResolvedParty);
+    }
+    equation_rank_ += before - session_->Deficit();
+    TryFinish();
+  }
+
+  PpArqConfig config_;
+  std::uint16_t seq_;
+  SoftPhyBody body_;
+  std::optional<fec::CodedRepairSession> session_;
+  bool decoded_ok_ = false;
+  std::size_t equation_rank_ = 0;
   std::vector<RepairDeliveryEstimator> estimators_;  // index = party id
 };
 
@@ -686,16 +562,12 @@ class RelayRepairParticipant : public RecoveryParticipant {
       : config_(config),
         relay_id_(relay_id),
         seq_(seq),
-        body_(total_codewords, config.bits_per_codeword) {
-    if (relay_id == 0) {
-      throw std::invalid_argument("relay id 0 is the source's partition");
-    }
-  }
+        body_(total_codewords, config.bits_per_codeword) {}
 
   PartyRole role() const override { return PartyRole::kRelay; }
 
   void IngestInitial(const std::vector<phy::DecodedSymbol>& symbols) override {
-    body_.Merge(symbols, config_.bits_per_codeword);
+    body_.Merge(symbols);
   }
 
   // Observed bottleneck quality: the fraction of FEC symbols this relay
@@ -778,7 +650,7 @@ class RelayRepairParticipant : public RecoveryParticipant {
     if (!symbols_.empty()) return;
     const std::size_t cps = config_.codewords_per_fec_symbol;
     symbols_ = fec::BodyToSymbols(body_.bits, config_.bits_per_codeword, cps);
-    const auto labels = body_.Label(cps, config_.eta);
+    const auto labels = LabelFecSymbols(body_, cps, config_.eta);
     have_ = labels.good;
     for (std::size_t s = 0; s < have_.size(); ++s) {
       if (!have_[s]) continue;
@@ -798,29 +670,31 @@ class RelayRepairParticipant : public RecoveryParticipant {
   std::uint32_t counter_ = 1;
 };
 
-class RelayCodedStrategy : public RecoveryStrategy {
+// ------------------------------------------------------------------ strategy
+
+// Every coded mode: the coded source, the coded destination, and one
+// overhearing relay per slot of the roster. The roster is
+// config.relay_parties under kRelayCodedRepair and empty under
+// kCodedRepair and kCollisionResolve; the source is the same either
+// way, party 0 of the wire, its seed counter party 0's partition.
+class CodedStrategy : public RecoveryStrategy {
  public:
-  explicit RelayCodedStrategy(const PpArqConfig& config) : config_(config) {
+  CodedStrategy(const PpArqConfig& config, std::size_t relays)
+      : config_(config), relays_(relays) {
     const std::size_t symbol_bits =
         config.bits_per_codeword * config.codewords_per_fec_symbol;
     if (symbol_bits == 0 || symbol_bits % 8 != 0) {
       throw std::invalid_argument(
-          "RelayCodedStrategy: FEC symbol must be whole octets");
+          "CodedStrategy: FEC symbol must be whole octets");
     }
     // Party ids must fit the 8-bit wire origin field and the party
     // count (source + relays) the 8-bit wire roster field.
-    if (config.relay_parties == 0 ||
-        config.relay_parties >= fec::kMaxRepairParties - 1) {
+    if (relays >= fec::kMaxRepairParties - 1) {
       throw std::invalid_argument(
-          "RelayCodedStrategy: relay_parties must be in [1, 254]");
+          "CodedStrategy: relay_parties must be at most 254");
     }
   }
 
-  const char* Name() const override { return "relay-coded-repair"; }
-
-  // The source is the coded-repair source unchanged: its seed counter
-  // is party 0's partition, and it parses the leading (seq, requested)
-  // fields the relay wire shares with the coded wire.
   std::unique_ptr<RecoveryParticipant> MakeSourceParticipant(
       const BitVec& body_bits, std::uint16_t seq) const override {
     return std::make_unique<CodedRepairSource>(body_bits, seq, config_);
@@ -828,22 +702,21 @@ class RelayCodedStrategy : public RecoveryStrategy {
 
   std::unique_ptr<DestinationParticipant> MakeDestinationParticipant(
       std::uint16_t seq, std::size_t total_codewords) const override {
-    return std::make_unique<RelayCodedReceiver>(seq, total_codewords, config_);
+    return std::make_unique<CodedDestination>(seq, total_codewords, relays_,
+                                              config_);
   }
 
   std::unique_ptr<RecoveryParticipant> MakeRelayParticipant(
       std::uint8_t relay_id, std::uint16_t seq,
       std::size_t total_codewords) const override {
-    if (relay_id == 0 || relay_id > config_.relay_parties) {
-      throw std::invalid_argument(
-          "MakeRelayParticipant: relay id outside the configured roster");
-    }
+    if (relay_id == 0 || relay_id > relays_) return nullptr;
     return std::make_unique<RelayRepairParticipant>(relay_id, seq,
                                                     total_codewords, config_);
   }
 
  private:
   PpArqConfig config_;
+  std::size_t relays_;
 };
 
 }  // namespace
@@ -897,9 +770,9 @@ std::unique_ptr<RecoveryStrategy> MakeRecoveryStrategy(
       return std::make_unique<ChunkRetransmitStrategy>(config);
     case RecoveryMode::kCodedRepair:
     case RecoveryMode::kCollisionResolve:
-      return std::make_unique<CodedRepairStrategy>(config);
+      return std::make_unique<CodedStrategy>(config, 0);
     case RecoveryMode::kRelayCodedRepair:
-      return std::make_unique<RelayCodedStrategy>(config);
+      return std::make_unique<CodedStrategy>(config, config.relay_parties);
   }
   throw std::logic_error("MakeRecoveryStrategy: unknown mode");
 }

@@ -1,39 +1,43 @@
 // Pluggable recovery strategies for PP-ARQ.
 //
 // A strategy owns one question: given the receiver's view of a partial
-// packet, what goes on the air to finish it? Three implementations ship,
+// packet, what goes on the air to finish it? Two implementations ship,
 // selected by four modes:
 //
 //   kChunkRetransmit — the paper's protocol: the receiver's dynamic
 //     program picks chunks, the sender retransmits exactly those bits
-//     (PpArqSender/PpArqReceiver, unchanged).
-//   kCodedRepair — the S-PRAC direction: feedback carries a requested
-//     repair count (sized adaptively, arq/adaptive_burst.h), and the
-//     sender streams systematic RLNC repair symbols (src/fec/) until
-//     the receiver's decoder reaches full rank. Repair symbols carry
-//     their own CRC-32, so corrupted ones are dropped rather than
-//     poisoning the basis.
-//   kRelayCodedRepair — the Crelay direction, generalized to N relays:
-//     overhearing relays with their own partial copies of the initial
-//     transmission also answer the destination's (broadcast) feedback,
-//     each streaming masked RLNC equations from its own partition of
-//     the seed space; the destination splits each round's burst across
-//     all repair parties in proportion to their observed delivery
-//     rates, and the session engine schedules relay airtime
-//     (ExOR-style ranking + per-round budget, recovery_session.h).
-//   kCollisionResolve — the kCodedRepair strategy itself. The mode
-//     selects collision episodes (collide/runner.h), whose listener
-//     joins the session as one more party: every coded destination
-//     banks the kEquations rows it hands over into the same decoder
-//     session, evictable under a collision provenance tag.
+//     (PpArqSender/PpArqReceiver).
+//   The coded strategy, for the other three modes. Feedback carries
+//     one requested repair count per repair party (sized adaptively,
+//     arq/adaptive_burst.h), and each party streams systematic RLNC
+//     repair symbols (src/fec/) until the destination's decoder
+//     reaches full rank. Repair symbols carry their own CRC-32, so
+//     corrupted ones are dropped rather than poisoning the basis. The
+//     modes differ only in the relay roster:
+//     kCodedRepair — the S-PRAC direction: no relays, so the source
+//       is the one repair party.
+//     kRelayCodedRepair — the Crelay direction, generalized to
+//       config.relay_parties relays: overhearing relays with their own
+//       partial copies of the initial transmission also answer the
+//       destination's (broadcast) feedback, each streaming masked RLNC
+//       equations from its own partition of the seed space; the
+//       destination splits each round's burst across all repair
+//       parties in proportion to their observed delivery rates, and
+//       the session engine schedules relay airtime (ExOR-style
+//       ranking + per-round budget, recovery_session.h). A roster of
+//       0 is kCodedRepair, bit for bit.
+//     kCollisionResolve — kCodedRepair's parties. The mode selects
+//       collision episodes (collide/runner.h), whose listener joins
+//       the session as one more party: the coded destination banks
+//       the kEquations rows it hands over into the same decoder
+//       session, evictable under a collision provenance tag.
 //
 // A strategy builds the session participants directly (source,
 // destination, and relays where it has them). All parties of a
 // strategy share a wire format for feedback; the session that runs
-// them (arq/recovery_session.h, two-party or multi-party) only moves
-// opaque bits. Frame descriptors (ranges, coefficient seeds, masks)
-// travel reliably with each repair frame, exactly as chunk-mode segment
-// descriptors do.
+// them (arq/recovery_session.h) only moves opaque bits. Frame
+// descriptors (ranges, coefficient seeds, masks) travel reliably with
+// each repair frame, exactly as chunk-mode segment descriptors do.
 #pragma once
 
 #include <cstdint>
@@ -112,8 +116,6 @@ class RecoveryStrategy {
  public:
   virtual ~RecoveryStrategy() = default;
 
-  virtual const char* Name() const = 0;
-
   // The source answers every feedback message with exactly one repair
   // message, even one with no frames: the session charges one data
   // transmission per repair message. Feedback frames are reliable at
@@ -127,7 +129,7 @@ class RecoveryStrategy {
   virtual std::unique_ptr<DestinationParticipant> MakeDestinationParticipant(
       std::uint16_t seq, std::size_t total_codewords) const = 0;
   // An overhearing relay (relay_id >= 1 keys its repair-seed partition);
-  // nullptr when the strategy has no relay role.
+  // nullptr unless relay_id is on the strategy's roster (1..roster size).
   virtual std::unique_ptr<RecoveryParticipant> MakeRelayParticipant(
       std::uint8_t relay_id, std::uint16_t seq,
       std::size_t total_codewords) const;

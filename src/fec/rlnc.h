@@ -59,10 +59,11 @@ inline constexpr std::size_t kMaxRepairParties = 256;
 std::uint32_t PartySeed(std::uint8_t party, std::uint32_t counter);
 
 // Provenance tag for equations distilled from collided receptions
-// (src/collide/). Relay rosters are capped at 254 ids
-// (RelayCodedStrategy), so the top party id can never name a relay and
-// is reserved for collision provenance: evicting a poisoned stripping
-// chain as a group never distrusts genuine relay traffic.
+// (src/collide/). Relay rosters are capped at 254 ids (the coded
+// strategy, arq/recovery_strategy.cc), so the top party id can never
+// name a relay and is reserved for collision provenance: evicting a
+// poisoned stripping chain as a group never distrusts genuine relay
+// traffic.
 inline constexpr std::uint8_t kCollisionResolvedParty = 0xFF;
 
 // Inverse projections of PartySeed: the owning party and the in-party

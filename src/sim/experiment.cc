@@ -147,14 +147,8 @@ struct LinkJob {
   Rng link_rng{0};
 };
 
-// `fallback` replaces `strategy` on relay-mode links with no recruited
-// overhearer: a two-party exchange under the relay-aware destination
-// would waste its round-one burst split on parties that do not exist,
-// so such links run plain coded repair instead. Relay-mode links
-// instead build their own strategy sized to the recruited roster.
 LinkRecoveryStats RunOneLink(const ExperimentConfig& config,
                              const RecoveryExperimentConfig& recovery,
-                             const arq::RecoveryStrategy& fallback,
                              const phy::ChipCodebook& codebook, LinkJob job,
                              obs::Snapshot* metrics) {
   // Everything this link runs — sessions, chip medium, coded repair —
@@ -181,11 +175,13 @@ LinkRecoveryStats RunOneLink(const ExperimentConfig& config,
   Rng payload_rng = job.link_rng.Fork();
   const bool use_relay = !job.relays.empty();
 
-  arq::BodyChannel channel;
+  // The link's one strategy, sized to the roster it recruited: a
+  // relay-mode link nobody overhears runs the two-party coded exchange.
+  arq::PpArqConfig arq_config = recovery.arq;
+  arq_config.relay_parties = job.relays.size();
+  const auto strategy = arq::MakeRecoveryStrategy(arq_config);
   arq::MultiRelayExchangeChannels channels;
   std::shared_ptr<arq::ChipMedium> medium;
-  std::unique_ptr<arq::RecoveryStrategy> relay_strategy;
-  arq::PpArqConfig relay_config = recovery.arq;
   // The relay-hop channels hold pointers to their Rngs, so those
   // streams need addresses stable for the whole link (deque never
   // relocates).
@@ -214,11 +210,8 @@ LinkRecoveryStats RunOneLink(const ExperimentConfig& config,
     }
     channels.initial_broadcast = medium->MakeBroadcastChannel();
     channels.source_to_destination = medium->MakeUnicastChannel(0);
-    // The session is sized to the roster this link actually recruited.
-    relay_config.relay_parties = job.relays.size();
-    relay_strategy = arq::MakeRecoveryStrategy(relay_config);
   } else {
-    channel = arq::MakeGilbertElliottChannel(
+    channels.source_to_destination = arq::MakeGilbertElliottChannel(
         codebook, LinkGeParams(config, job.snr_db), channel_rng);
   }
 
@@ -265,9 +258,9 @@ LinkRecoveryStats RunOneLink(const ExperimentConfig& config,
     arq::SessionRunStats stats;
     if (collided) {
       auto outcome = collide::RunCollisionRecoveryExchange(
-          payload, recovery.arq, fallback, channel, episode_params,
-          episode_rng, listener_config, recovery.collision_resolve,
-          recovery.max_rounds);
+          payload, arq_config, *strategy, channels.source_to_destination,
+          episode_params, episode_rng, listener_config,
+          recovery.collision_resolve, recovery.max_rounds);
       stats = std::move(outcome.stats);
       if (stats.totals.success) ++link.collided_recovered_frames;
       ++link.collision_episodes;
@@ -276,10 +269,9 @@ LinkRecoveryStats RunOneLink(const ExperimentConfig& config,
       link.collision_pairs_resolved += outcome.collide.pairs_resolved;
       link.collision_abandoned += outcome.collide.episodes_abandoned;
       link.collision_rank_gained += outcome.rank_gained;
-    } else if (use_relay) {
-      stats = arq::RunMultiRelayRecoveryExchange(payload, relay_config,
-                                                 *relay_strategy, channels,
-                                                 recovery.max_rounds);
+    } else {
+      stats = arq::RunMultiRelayRecoveryExchange(
+          payload, arq_config, *strategy, channels, recovery.max_rounds);
       for (std::size_t i = 0; i < job.relays.size(); ++i) {
         link.relay_repair_bits +=
             stats.parties[arq::kSessionRelayId + i].repair_bits;
@@ -287,9 +279,6 @@ LinkRecoveryStats RunOneLink(const ExperimentConfig& config,
       link.max_round_relay_bits =
           std::max(link.max_round_relay_bits, stats.max_round_relay_bits);
       link.relay_deferrals += stats.relay_deferrals;
-    } else {
-      stats = arq::RunRecoveryExchangeSession(payload, recovery.arq, fallback,
-                                              channel, recovery.max_rounds);
     }
     link.source_repair_bits += stats.parties[arq::kSessionSourceId].repair_bits;
     ++link.packets;
@@ -330,11 +319,6 @@ RecoveryExperimentResult RunLinkRecoveryExperiment(
   const phy::ChipCodebook codebook;
   const bool relay_mode =
       recovery.arq.recovery == arq::RecoveryMode::kRelayCodedRepair;
-  // Relay-less links under relay mode degrade to plain coded repair;
-  // non-relay modes run `fallback` on every link.
-  arq::PpArqConfig fallback_config = recovery.arq;
-  if (relay_mode) fallback_config.recovery = arq::RecoveryMode::kCodedRepair;
-  const auto fallback = arq::MakeRecoveryStrategy(fallback_config);
 
   // Serial pass: enumerate audible links and fix their seeds. Every
   // (sender, receiver) pair forks `root` in the same order whether or
@@ -385,7 +369,7 @@ RecoveryExperimentResult RunLinkRecoveryExperiment(
   const auto worker = [&] {
     for (std::size_t j = next.fetch_add(1); j < jobs.size();
          j = next.fetch_add(1)) {
-      links[j] = RunOneLink(config, recovery, *fallback, codebook, jobs[j],
+      links[j] = RunOneLink(config, recovery, codebook, jobs[j],
                             &link_metrics[j]);
     }
   };

@@ -78,8 +78,12 @@ TEST(RecoverySessionTest, FactoryKnowsRelayStrategy) {
   PpArqConfig config;
   config.recovery = RecoveryMode::kRelayCodedRepair;
   const auto strategy = MakeRecoveryStrategy(config);
-  EXPECT_STREQ(strategy->Name(), "relay-coded-repair");
-  EXPECT_NE(strategy->MakeRelayParticipant(1, 1, 512), nullptr);
+  const auto relay = strategy->MakeRelayParticipant(1, 1, 512);
+  ASSERT_NE(relay, nullptr);
+  EXPECT_EQ(relay->role(), PartyRole::kRelay);
+  // One relay by default: no id 0 (the source's) and none past it.
+  EXPECT_EQ(strategy->MakeRelayParticipant(0, 1, 512), nullptr);
+  EXPECT_EQ(strategy->MakeRelayParticipant(2, 1, 512), nullptr);
 }
 
 TEST(RecoverySessionTest, OnlyRelayStrategyHasRelayRole) {
@@ -1016,6 +1020,46 @@ TEST(RecoverySessionTest, ExchangeOutcomesArePinned) {
   EXPECT_GT(no_relay, 0u);
   EXPECT_GT(with_relay, 0u);
   EXPECT_EQ(Crc32(bytes), 0xEDB18824u);
+}
+
+// A relay-coded strategy with an empty roster is the coded strategy:
+// the same one-party feedback wire, requests and ingest. Over the pin's
+// seed grid, every outcome field of the runner and the payload a kept
+// session's destination assembled match.
+TEST(RecoverySessionTest, ZeroRelayRosterIsCodedRepair) {
+  const phy::ChipCodebook cb;
+  PpArqConfig coded;
+  coded.recovery = RecoveryMode::kCodedRepair;
+  PpArqConfig relay = coded;
+  relay.recovery = RecoveryMode::kRelayCodedRepair;
+  relay.relay_parties = 0;
+  const auto outcome = [&](const PpArqConfig& config, std::uint64_t seed) {
+    const std::size_t max_rounds = 1 + seed % 3;
+    Rng prng(seed);
+    const BitVec payload = RandomPayload(prng, 60);
+    const auto strategy = MakeRecoveryStrategy(config);
+    std::deque<Rng> rngs;
+    std::vector<std::uint8_t> bytes;
+    AppendStats(bytes, RunMultiRelayRecoveryExchange(
+                           payload, config, *strategy,
+                           PinChannels(cb, seed, 0, rngs), max_rounds));
+    const BitVec body = PpArqSender::MakeBody(payload);
+    RecoverySession session(RelayTopology(PinChannels(cb, seed, 0, rngs)));
+    session.AddParty(strategy->MakeSourceParticipant(body, 1));
+    session.AddParty(strategy->MakeDestinationParticipant(1, body.size() / 4));
+    session.TransmitInitial(kSessionSourceId, body);
+    AppendStats(bytes, session.Run(max_rounds));
+    const auto assembled =
+        static_cast<DestinationParticipant&>(
+            session.party(kSessionDestinationId))
+            .AssembledPayload()
+            .ToBytes();
+    bytes.insert(bytes.end(), assembled.begin(), assembled.end());
+    return bytes;
+  };
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    EXPECT_EQ(outcome(relay, seed), outcome(coded, seed)) << "seed " << seed;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arq/feedback.h"
 #include "arq/link_sim.h"
 #include "arq/recovery_session.h"
 #include "common/rng.h"
@@ -127,11 +128,54 @@ TEST(CodedFeedbackWireTest, RejectsTruncatedAndDegenerateWires) {
                std::invalid_argument);
 }
 
+// The destination's first feedback wire after an initial copy whose
+// first 40 codewords are erased.
+BitVec FirstFeedbackWire(const RecoveryStrategy& strategy,
+                         const BitVec& body) {
+  auto destination = strategy.MakeDestinationParticipant(1, body.size() / 4);
+  std::vector<phy::DecodedSymbol> copy(body.size() / 4);
+  for (std::size_t i = 0; i < copy.size(); ++i) {
+    copy[i].symbol = static_cast<std::uint8_t>(body.ReadUint(4 * i, 4));
+    copy[i].hint = i < 40 ? 16.0 : 0.0;
+    if (i < 40) copy[i].symbol ^= 0xF;
+  }
+  destination->IngestInitial(copy);
+  const auto opening = destination->StartRound();
+  EXPECT_EQ(opening.size(), 1u);
+  return opening.empty() ? BitVec() : opening.front().feedback_wire;
+}
+
+// Each mode's strategy shows in what its destination asks for and in
+// the relay roster it builds.
 TEST(RecoveryStrategyTest, FactoryDispatchesOnMode) {
+  Rng prng(521);
+  const BitVec body = PpArqSender::MakeBody(RandomPayload(prng, 60));
   PpArqConfig config;
-  EXPECT_STREQ(MakeRecoveryStrategy(config)->Name(), "chunk-retransmit");
-  config.recovery = RecoveryMode::kCodedRepair;
-  EXPECT_STREQ(MakeRecoveryStrategy(config)->Name(), "coded-repair");
+  const auto chunk = MakeRecoveryStrategy(config);
+  const auto chunk_feedback =
+      DecodeFeedback(FirstFeedbackWire(*chunk, body), body.size() / 4, 4, 32);
+  ASSERT_TRUE(chunk_feedback.has_value());
+  EXPECT_FALSE(chunk_feedback->feedback.requests.empty());
+  EXPECT_EQ(chunk->MakeRelayParticipant(1, 1, body.size() / 4), nullptr);
+
+  for (const auto mode :
+       {RecoveryMode::kCodedRepair, RecoveryMode::kCollisionResolve,
+        RecoveryMode::kRelayCodedRepair}) {
+    config.recovery = mode;
+    config.relay_parties = 2;
+    const auto coded = MakeRecoveryStrategy(config);
+    const std::size_t relays =
+        mode == RecoveryMode::kRelayCodedRepair ? 2 : 0;
+    const auto request =
+        DecodeCodedFeedbackWire(FirstFeedbackWire(*coded, body));
+    ASSERT_TRUE(request.has_value());
+    EXPECT_EQ(request->requested.size(), 1 + relays);
+    EXPECT_GT(request->requested.front(), 0u);
+    for (std::uint8_t id = 1; id <= 3; ++id) {
+      EXPECT_EQ(coded->MakeRelayParticipant(id, 1, body.size() / 4) != nullptr,
+                id <= relays);
+    }
+  }
 }
 
 TEST(RecoveryStrategyTest, CodedConfigMustMakeOctetSymbols) {
