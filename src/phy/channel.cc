@@ -91,18 +91,4 @@ std::uint32_t SampleChipErrorMask(Rng& rng, const ChipErrorRate& rate) {
   return mask;
 }
 
-SampleVec FractionalDelay(const SampleVec& signal, double delay_samples) {
-  assert(delay_samples >= 0.0);
-  const auto whole = static_cast<std::size_t>(std::floor(delay_samples));
-  const double frac = delay_samples - static_cast<double>(whole);
-  SampleVec out(signal.size() + whole + 1, Sample{0.0, 0.0});
-  for (std::size_t i = 0; i < signal.size(); ++i) {
-    // Linear interpolation distributes sample i across output positions
-    // whole+i and whole+i+1.
-    out[whole + i] += (1.0 - frac) * signal[i];
-    out[whole + i + 1] += frac * signal[i];
-  }
-  return out;
-}
-
 }  // namespace ppr::phy

@@ -43,11 +43,6 @@ void ApplyCarrierOffset(SampleVec& samples, double cfo, double phase);
 void MixInto(SampleVec& mix, const SampleVec& signal, std::size_t offset,
              double gain = 1.0);
 
-// Returns `signal` delayed by a fractional number of samples using linear
-// interpolation; used to model senders whose chip clocks are not aligned
-// to the receiver sample grid.
-SampleVec FractionalDelay(const SampleVec& signal, double delay_samples);
-
 // A per-chip flip probability in the form SampleChipErrorMask draws
 // from. Below 0.1 the sampler jumps between error positions with
 // geometric skips of scale log1p(-p); that logarithm is taken once

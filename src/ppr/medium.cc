@@ -85,11 +85,8 @@ WaveformMedium::Reception WaveformMedium::ReceiveAt(
   const double phase =
       independent ? l.rng.UniformDouble(0.0, 2.0 * std::numbers::pi)
                   : shared.carrier_phase;
-  phy::ApplyCarrierOffset(wave, l.params.cfo, phase);
+  phy::ApplyCarrierOffset(wave, 0.0, phase);
   if (l.params.gain != 1.0) phy::ApplyGain(wave, l.params.gain);
-  if (l.params.timing_offset != 0.0) {
-    wave = phy::FractionalDelay(wave, l.params.timing_offset);
-  }
 
   // Guard padding so sync search starts and ends in noise.
   const int sps = l.params.pipeline.modem.samples_per_chip;

@@ -11,8 +11,8 @@
 // own, which a shared interferer does not allow.
 //
 // WaveformMedium fixes the model. A medium owns a roster of listeners
-// (each with its own gain, Ec/N0, CFO, and timing skew — its
-// geometry); Transmit() is one transmission event:
+// (each with its own gain, Ec/N0 and interferer power — its geometry);
+// Transmit() is one transmission event:
 //
 //   * Under CollisionCorrelation::kSharedInterferer the interferer
 //     presence, burst content, carrier phase, and relative timing are
@@ -59,8 +59,6 @@ struct WaveformListenerParams {
   std::size_t interferer_octets = 300;  // kIndependent: private burst length
   std::uint64_t seed = 1;          // private noise/collision stream
   double gain = 1.0;               // voltage gain on the data signal
-  double cfo = 0.0;                // residual carrier offset, cycles/sample
-  double timing_offset = 0.0;      // fractional-sample timing skew
 };
 
 // One transmission event. `sender` is the transmitting node's identity

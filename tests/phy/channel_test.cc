@@ -145,36 +145,6 @@ TEST(MixIntoTest, AppliesGain) {
   EXPECT_EQ(mix[0], (Sample{0.5, -0.5}));
 }
 
-TEST(FractionalDelayTest, IntegerDelayShifts) {
-  const SampleVec signal{{1.0, 0.0}, {2.0, 0.0}};
-  const auto out = FractionalDelay(signal, 3.0);
-  ASSERT_EQ(out.size(), 6u);
-  EXPECT_EQ(out[2], (Sample{0.0, 0.0}));
-  EXPECT_EQ(out[3], (Sample{1.0, 0.0}));
-  EXPECT_EQ(out[4], (Sample{2.0, 0.0}));
-}
-
-TEST(FractionalDelayTest, HalfSampleInterpolates) {
-  const SampleVec signal{{2.0, 0.0}};
-  const auto out = FractionalDelay(signal, 0.5);
-  EXPECT_NEAR(out[0].real(), 1.0, 1e-12);
-  EXPECT_NEAR(out[1].real(), 1.0, 1e-12);
-}
-
-TEST(FractionalDelayTest, PreservesTotalMassLinearly) {
-  Rng rng(63);
-  SampleVec signal(50);
-  double mass = 0.0;
-  for (auto& s : signal) {
-    s = Sample{rng.Normal(), rng.Normal()};
-    mass += s.real();
-  }
-  const auto out = FractionalDelay(signal, 7.3);
-  double out_mass = 0.0;
-  for (const auto& s : out) out_mass += s.real();
-  EXPECT_NEAR(out_mass, mass, 1e-9);
-}
-
 TEST(SampleChipErrorMaskTest, EdgeProbabilities) {
   Rng rng(64);
   EXPECT_EQ(SampleChipErrorMask(rng, ChipErrorRate(0.0)), 0u);
