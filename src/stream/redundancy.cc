@@ -1,7 +1,6 @@
 #include "stream/redundancy.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "obs/obs.h"
 
@@ -68,26 +67,13 @@ class DeadlineController final : public RedundancyController {
     }
     if (in.in_flight == 0) return 0;
     switch (event) {
-      case ControllerEvent::kSourceSent: {
-        // Proactive cover: each source symbol is lost with probability
-        // ~loss, so accrue enough repair credit that expected losses
-        // are already covered when feedback eventually reports them.
-        const double loss =
-            std::max(in.loss_estimate, config_.min_loss_estimate);
-        credit_ += config_.cover_factor * loss / (1.0 - std::min(loss, 0.9));
-        if (credit_ < 1.0) return 0;  // may be negative after a Debit
-        const auto whole = static_cast<std::size_t>(credit_);
-        credit_ -= static_cast<double>(whole);
-        obs::Count("stream.ctrl.deadline.credit_repairs", whole);
-        return whole;
-      }
+      case ControllerEvent::kSourceSent:
+        return 0;
       case ControllerEvent::kFeedbackReceived:
-        // Also honor the receiver's explicit ask (minus in-flight) so a
-        // burst the proactive cover missed still gets repaired.
+        // Honor the receiver's explicit ask, minus repair in flight.
         if (in.reported_deficit > in.repairs_in_flight) {
           const std::size_t ask = in.reported_deficit - in.repairs_in_flight;
           obs::Count("stream.ctrl.deadline.deficit_repairs", ask);
-          Debit(ask);
           return ask;
         }
         return 0;
@@ -120,7 +106,6 @@ class DeadlineController final : public RedundancyController {
             std::min(std::max<std::size_t>(in.reported_deficit, 1),
                      config_.max_protect_burst);
         obs::Count("stream.ctrl.deadline.protect_repairs", burst);
-        Debit(burst);
         return burst;
       }
     }
@@ -128,18 +113,7 @@ class DeadlineController final : public RedundancyController {
   }
 
  private:
-  // Every repair draws from the same proactive budget: reactive and
-  // protect emissions debit the credit accumulator so the long-run
-  // spend stays near cover_factor * loss / (1 - loss) per source
-  // symbol no matter which path fired. The floor keeps one bad burst
-  // from suppressing proactive cover for the rest of the flow.
-  void Debit(std::size_t repairs) {
-    credit_ = std::max(credit_ - static_cast<double>(repairs),
-                       -config_.max_budget_debt);
-  }
-
   DeadlineConfig config_;
-  double credit_ = 0.0;
   std::uint64_t last_protect_us_ = 0;
   std::uint64_t last_repair_sent_ = 0;
   std::uint64_t last_repair_activity_us_ = 0;

@@ -23,10 +23,7 @@
 //                in the next deficit report (shrinking the next honor
 //                ask one-for-one), the burst substitutes for — rather
 //                than adds to — the reactive spend: same repair count,
-//                strictly earlier recovery. An optional loss-rate
-//                credit can layer proactive repair on top for
-//                feedback-starved links (off by default; see
-//                DeadlineConfig::cover_factor).
+//                strictly earlier recovery.
 #pragma once
 
 #include <cstddef>
@@ -52,8 +49,6 @@ struct ControllerInputs {
   // Repair symbols sent recently enough that the latest feedback cannot
   // reflect them (sent within the last one-way delay).
   std::size_t repairs_in_flight = 0;
-  // EWMA of the source-symbol loss rate, from feedback deltas.
-  double loss_estimate = 0.0;
   // Age of the oldest unacknowledged source symbol; 0 when none.
   std::uint64_t oldest_unacked_age_us = 0;
 };
@@ -85,23 +80,13 @@ struct FixedRateConfig {
 // on feedback only.
 struct AckDeficitConfig {};
 
-// Proactive credit + deadline protect.
+// Reactive deficit honoring + deadline protect.
 struct DeadlineConfig {
   // Per-packet delivery deadline the flow cares about.
   std::uint64_t deadline_us = 40'000;
   // Fire the protect burst when oldest_unacked_age exceeds this
   // fraction of the deadline.
   double protect_ratio = 0.5;
-  // Cover this multiple of the expected in-flight losses with
-  // proactive repair credit (1.0 = exactly the EWMA estimate). Off by
-  // default: on a link with working feedback the credit drains during
-  // quiet stretches when the receiver needs nothing — pure overhead —
-  // while the protect path already covers the latency tail at no extra
-  // repair cost. Raise it when feedback is rare or unreliable.
-  double cover_factor = 0.0;
-  // Floor on the assumed loss rate so a quiet start still sends some
-  // proactive repair.
-  double min_loss_estimate = 0.01;
   // Minimum spacing between protect bursts.
   std::uint64_t protect_cooldown_us = 5'000;
   // After ANY repair went out (whichever path), hold the protect burst
@@ -112,10 +97,6 @@ struct DeadlineConfig {
   // Cap on one protect burst: the burst exists to reference and nudge a
   // stuck window tail, not to blanket-retransmit it.
   std::size_t max_protect_burst = 1;
-  // Reactive (feedback-deficit) and protect repairs debit the shared
-  // proactive credit budget; this floors how far it may go negative so
-  // one loss burst cannot mute proactive cover indefinitely.
-  double max_budget_debt = 12.0;
 };
 
 std::unique_ptr<RedundancyController> MakeFixedRateController(

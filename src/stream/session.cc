@@ -118,7 +118,6 @@ struct Event {
   // event, the wire cost is charged separately).
   SymbolId cumulative_ack = 0;
   std::size_t deficit = 0;
-  double loss_estimate = 0.0;
   std::uint64_t generated_at_us = 0;
 };
 
@@ -159,13 +158,8 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
   // Send times of recent repair frames: how many the latest feedback
   // cannot have seen yet.
   std::deque<std::uint64_t> repair_send_times;
-  double loss_estimate = 0.0;
   std::size_t reported_deficit = 0;
   std::uint64_t last_feedback_gen_us = 0;
-  // Destination-side deltas for the per-interval loss estimate.
-  std::size_t dest_source_frames_ok = 0;
-  std::size_t prev_dest_source_ok = 0;
-  SymbolId prev_highest_seen = 0;
 
   const auto all_pushed = [&] {
     return packets_pushed == config.total_packets;
@@ -216,7 +210,6 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
     in.repairs_in_flight = static_cast<std::size_t>(std::count_if(
         repair_send_times.begin(), repair_send_times.end(),
         [&](std::uint64_t t) { return t >= horizon; }));
-    in.loss_estimate = loss_estimate;
     if (encoder.in_flight() > 0) {
       if (const auto sent = queue.SentAt(encoder.first_unacked())) {
         in.oldest_unacked_age_us = now_us - *sent;
@@ -327,7 +320,6 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
           break;
         }
         if (frame.type == kTypeSource) {
-          ++dest_source_frames_ok;
           decoder.AddSource(*id, frame.payload);
         } else {
           StreamRepairSymbol repair;
@@ -342,29 +334,10 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
       }
 
       case EventType::kFeedbackGen: {
-        // Per-interval loss estimate over newly referenced ids.
-        const std::size_t seen_delta =
-            static_cast<std::size_t>(decoder.highest_seen() -
-                                     prev_highest_seen);
-        const std::size_t ok_delta =
-            dest_source_frames_ok - prev_dest_source_ok;
-        if (seen_delta > 0) {
-          const double interval_loss = std::clamp(
-              1.0 - static_cast<double>(ok_delta) /
-                        static_cast<double>(seen_delta),
-              0.0, 1.0);
-          // EWMA; 0.25 reacts within a few intervals without chasing
-          // single-interval noise.
-          loss_estimate = 0.75 * loss_estimate + 0.25 * interval_loss;
-        }
-        prev_highest_seen = decoder.highest_seen();
-        prev_dest_source_ok = dest_source_frames_ok;
-
         Event ack;
         ack.type = EventType::kFeedbackArrival;
         ack.cumulative_ack = decoder.next_expected();
         ack.deficit = decoder.Deficit();
-        ack.loss_estimate = loss_estimate;
         ack.generated_at_us = now_us;
         events.Push(now_us + config.propagation_us, std::move(ack));
         stats.feedback_bits += kFeedbackBits;
@@ -401,8 +374,8 @@ StreamSessionStats RunStreamSession(const StreamSessionConfig& config,
           }
         }
         consult(ControllerEvent::kFeedbackReceived);
-        if (config.closing_flush && all_pushed() && encoder.in_flight() > 0) {
-          // Tail closing: identical for every controller (see config).
+        if (all_pushed() && encoder.in_flight() > 0) {
+          // Tail closing: identical for every controller (see header).
           // A zero reported deficit with nothing in flight means the
           // destination never saw the tail referenced — one repair both
           // references and (often) repairs it.

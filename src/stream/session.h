@@ -13,7 +13,10 @@
 // any loss it spans. Forward frames cross the (lossy) BodyChannel and
 // are erased when their CRC-32 fails; feedback is modeled reliable per
 // the repo convention (short frames, forward-link evaluation), but its
-// bits and latency are charged.
+// bits and latency are charged. Once the last source packet has entered
+// the window, every feedback's deficit is flushed with repair whatever
+// the controller, so every policy pays the same tail-closing cost and
+// comparisons isolate steady-state behavior.
 //
 // Determinism: all randomness comes from the caller's channel and the
 // config seed, timestamps are virtual, and metrics land both in the
@@ -49,12 +52,6 @@ struct StreamSessionConfig {
   // Hard stop: a session that cannot finish by then reports what it has
   // (undelivered packets counted, never silently dropped).
   std::uint64_t max_duration_us = 60'000'000;
-
-  // After the last source packet entered the window, feedback deficits
-  // are flushed with repair regardless of controller, so every policy
-  // pays the same tail-closing cost and comparisons isolate steady-state
-  // behavior.
-  bool closing_flush = true;
 
   // Deterministic payload generator seed (payloads are a pure function
   // of (seed, symbol id); the destination verifies every delivery).

@@ -54,27 +54,11 @@ TEST(AckDeficitControllerTest, EmitsDeficitMinusInFlight) {
   EXPECT_EQ(controller->RepairBudget(ControllerEvent::kTick, in), 0u);
 }
 
-TEST(DeadlineControllerTest, ProactiveCreditTracksLossEstimate) {
-  DeadlineConfig config;
-  config.cover_factor = 1.0;
-  config.min_loss_estimate = 0.0;
-  const auto controller = MakeDeadlineController(config);
-  auto in = BaseInputs();
-  in.loss_estimate = 0.25;
-  // credit per source symbol = 0.25 / 0.75 = 1/3: one repair every 3.
-  std::size_t total = 0;
-  for (int i = 0; i < 30; ++i) {
-    total += controller->RepairBudget(ControllerEvent::kSourceSent, in);
-  }
-  EXPECT_EQ(total, 10u);
-}
-
 TEST(DeadlineControllerTest, ProtectBurstFiresNearDeadlineWithCooldown) {
   DeadlineConfig config;
   config.deadline_us = 40'000;
   config.protect_ratio = 0.5;
   config.protect_cooldown_us = 5'000;
-  config.min_loss_estimate = 0.1;
   const auto controller = MakeDeadlineController(config);
 
   auto in = BaseInputs();
