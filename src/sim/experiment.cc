@@ -2,18 +2,16 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
-#include <cassert>
 #include <cmath>
 #include <deque>
 #include <map>
 #include <memory>
-#include <thread>
 
 #include "arq/chip_medium.h"
 #include "arq/link_sim.h"
 #include "arq/recovery_session.h"
 #include "collide/runner.h"
+#include "common/parallel.h"
 #include "fec/gf256.h"
 #include "obs/obs.h"
 #include "phy/channel.h"
@@ -356,31 +354,12 @@ RecoveryExperimentResult RunLinkRecoveryExperiment(
     }
   }
 
-  // Parallel pass: links are independent; workers pull job indices and
-  // write disjoint result slots.
+  // Parallel pass: links are independent and write disjoint slots.
   std::vector<LinkRecoveryStats> links(jobs.size());
   std::vector<obs::Snapshot> link_metrics(jobs.size());
-  const std::size_t hw = std::thread::hardware_concurrency();
-  const std::size_t num_threads = std::max<std::size_t>(
-      1, std::min(jobs.size(),
-                  recovery.num_threads ? recovery.num_threads
-                                       : (hw ? hw : 1)));
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    for (std::size_t j = next.fetch_add(1); j < jobs.size();
-         j = next.fetch_add(1)) {
-      links[j] = RunOneLink(config, recovery, codebook, jobs[j],
-                            &link_metrics[j]);
-    }
-  };
-  if (num_threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(num_threads);
-    for (std::size_t t = 0; t < num_threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  ParallelFor(jobs.size(), recovery.num_threads, [&](std::size_t j) {
+    links[j] = RunOneLink(config, recovery, codebook, jobs[j], &link_metrics[j]);
+  });
 
   RecoveryExperimentResult result;
   result.links = std::move(links);

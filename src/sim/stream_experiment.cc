@@ -1,11 +1,10 @@
 #include "sim/stream_experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
-#include <thread>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "obs/obs.h"
 
@@ -165,29 +164,12 @@ StreamExperimentResult RunStreamRecoveryExperiment(
     }
   }
 
-  // Parallel pass: points are independent; workers pull indices and
-  // write disjoint slots.
+  // Parallel pass: points are independent and write disjoint slots.
   std::vector<StreamPointResult> points(jobs.size());
   std::vector<obs::Snapshot> point_metrics(jobs.size());
-  const std::size_t hw = std::thread::hardware_concurrency();
-  const std::size_t num_threads = std::max<std::size_t>(
-      1, std::min(jobs.size(),
-                  config.num_threads ? config.num_threads : (hw ? hw : 1)));
-  std::atomic<std::size_t> next{0};
-  const auto worker = [&] {
-    for (std::size_t j = next.fetch_add(1); j < jobs.size();
-         j = next.fetch_add(1)) {
-      points[j] = RunOnePoint(config, jobs[j], &point_metrics[j]);
-    }
-  };
-  if (num_threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(num_threads);
-    for (std::size_t t = 0; t < num_threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  ParallelFor(jobs.size(), config.num_threads, [&](std::size_t j) {
+    points[j] = RunOnePoint(config, jobs[j], &point_metrics[j]);
+  });
 
   StreamExperimentResult result;
   result.points = std::move(points);
