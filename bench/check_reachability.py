@@ -36,7 +36,10 @@ is how the list is refreshed after a deliberate change.
 Blind spot: a function defined inline in a header appears in libppr.a
 only if a library translation unit emits it, so an inline function that
 only tests use goes unseen. So does a virtual function of a class some
-binary constructs, because its vtable references it.
+binary constructs, because its vtable references it. And the check sees
+calls, not values: code behind a branch on a config field that nothing
+but a test sets counts as reached (the verify skill's config-field grep
+lists such fields).
 """
 
 import argparse

@@ -1,17 +1,17 @@
-// Adaptive repair-burst sizing for the coded recovery strategies.
+// Adaptive repair-burst sizing for the coded recovery strategy.
 //
-// The old policy padded every burst by a fixed 25% headroom
-// (PpArqConfig::repair_overhead). The adaptive policy instead tracks the
-// per-party repair-symbol delivery rate observed inside the coded
-// session — symbols requested vs. symbols that arrived with a valid
-// per-symbol CRC — and sizes the next burst so that the round completes
-// (at least `deficit` symbols land) with a configured target
-// probability. On a clean channel the estimate converges to 1 and the
-// burst to exactly deficit + 0; on a lossy channel the estimate drops
-// and bursts grow to keep the per-round completion probability at
-// target. `repair_overhead` survives as the prior: before any symbols
-// have been requested the delivery rate is assumed to be
-// 1 / (1 + repair_overhead), reproducing the old headroom on round one.
+// The old policy padded every burst by a fixed 25% headroom. The
+// adaptive policy instead tracks the per-party repair-symbol delivery
+// rate observed inside the coded session — symbols requested vs.
+// symbols that arrived with a valid per-symbol CRC — and sizes the next
+// burst so that the round completes (at least `deficit` symbols land)
+// with a target probability (kRepairTargetCompletion,
+// arq/recovery_strategy.cc). On a clean channel the estimate converges
+// to 1 and the burst to exactly deficit + 0; on a lossy channel the
+// estimate drops and bursts grow to keep the per-round completion
+// probability at target. The old headroom survives as the prior: before
+// any symbols have been requested the delivery rate is assumed to be
+// 1 / (1 + kRepairPriorOverhead), reproducing it on round one.
 #pragma once
 
 #include <cstddef>

@@ -12,9 +12,10 @@
 //      it sent — this is how SoftPHY "misses" are caught and repaired.
 //
 // The protocol data unit covered here is the packet body: payload
-// followed by its CRC-32. Transport of feedback/retransmission frames is
-// the link layer's job; tests drive these classes with synthetic
-// DecodedSymbol streams.
+// followed by its CRC-32 (PpArqSender::MakeBody). Every receiving party
+// of every recovery strategy assembles it as a SoftPhyBody, defined
+// here. Transport of feedback/retransmission frames is the link layer's
+// job; tests drive these classes with synthetic DecodedSymbol streams.
 #pragma once
 
 #include <cstdint>
@@ -35,18 +36,21 @@ namespace ppr::arq {
 enum class RecoveryMode {
   // Section 5.2: retransmit the SoftPHY-flagged chunks verbatim.
   kChunkRetransmit,
-  // Stream systematic RLNC repair symbols (src/fec/) sized by the
-  // receiver's erasure estimate instead of literal chunk copies.
+  // The other three modes are one coded strategy with different
+  // parties. Stream systematic RLNC repair symbols (src/fec/) sized by
+  // the receiver's erasure estimate instead of literal chunk copies;
+  // the source is the one repair party.
   kCodedRepair,
   // Crelay, generalized to N relays: coded repair where overhearing
   // relays with their own (partial) copies of the initial transmission
   // also stream repair equations, each from a relay-id-partitioned
   // seed space; the destination broadcasts per-party burst requests
   // split by observed delivery rate (arq/recovery_session.h runs the
-  // multi-party exchange and schedules relay airtime).
+  // multi-party exchange and schedules relay airtime). With no relays
+  // it is kCodedRepair.
   kRelayCodedRepair,
   // Coded repair plus a collision-resolution listener (src/collide/).
-  // The strategy is kCodedRepair's; the mode selects collision
+  // The parties are kCodedRepair's; the mode selects collision
   // episodes, whose listener joins the session as a party and hands
   // the destination GF(256) equations distilled from collided
   // receptions (kEquations) — fully stripped ZigZag symbols as unit

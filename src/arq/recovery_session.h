@@ -33,8 +33,9 @@
 // even with no frames), its frames crossing the one channel in order.
 // That keeps kChunkRetransmit bit-for-bit identical to the paper's
 // protocol. Any number of relays plug in as additional participants
-// and edges, and the collision exchange (collide/runner.h) adds one
-// listener.
+// and edges — one runner, RunMultiRelayRecoveryExchange, builds every
+// roster, the empty one included — and the collision exchange
+// (collide/runner.h) adds one listener.
 //
 // Relay airtime scheduling (ExOR-style): when a per-round relay
 // airtime budget is set, the engine services relay parties in

@@ -105,12 +105,13 @@ ExperimentConfig MakePaperConfig(double offered_load_bps, bool carrier_sense,
 // link. Under kRelayCodedRepair each link recruits its top
 // `max_relays` overhearers best-bottleneck-first (sim/topology.h:
 // OverhearingRelays, memoized via OverhearingRelayCache across a
-// sweep's strategy/relay-count legs); links nobody overhears fall back
-// to the two-party exchange.
+// sweep's strategy/relay-count legs). Every link runs one strategy
+// sized to the roster it recruited, so a link nobody overhears runs the
+// two-party exchange (an empty roster is plain coded repair).
 //
-// Links are independent, so the sweep is sharded across a thread pool;
-// per-link seeding is fixed before any worker runs, making results
-// identical at every thread count.
+// Links are independent, so the sweep is sharded across a thread pool
+// (common/parallel.h); per-link seeding is fixed before any worker
+// runs, making results identical at every thread count.
 
 struct RecoveryExperimentConfig {
   arq::PpArqConfig arq;  // includes the RecoveryMode under test

@@ -127,7 +127,7 @@ TEST(AdaptiveCodedSizingTest, CleanDeliveryConvergesToDeficitPlusZero) {
   const auto wire1 = NextFeedbackWire(*receiver);
   ASSERT_TRUE(wire1.has_value());
   const auto req1 = ParseRequest(*wire1);
-  // Round one runs on the prior (repair_overhead headroom).
+  // Round one runs on the prior (the old 25% headroom).
   EXPECT_GT(req1.count, 5u);
 
   // Deliver every requested record with a valid CRC — but all of them
