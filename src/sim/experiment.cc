@@ -358,7 +358,8 @@ RecoveryExperimentResult RunLinkRecoveryExperiment(
   std::vector<LinkRecoveryStats> links(jobs.size());
   std::vector<obs::Snapshot> link_metrics(jobs.size());
   ParallelFor(jobs.size(), recovery.num_threads, [&](std::size_t j) {
-    links[j] = RunOneLink(config, recovery, codebook, jobs[j], &link_metrics[j]);
+    links[j] =
+        RunOneLink(config, recovery, codebook, jobs[j], &link_metrics[j]);
   });
 
   RecoveryExperimentResult result;
