@@ -182,7 +182,8 @@ std::uint32_t ReferenceChipErrorMask(Rng& rng, double p) {
 
 TEST(SampleChipErrorMaskTest, RateFormDrawsThePerCallFormulasMasks) {
   // Both sampler branches and the 0.1 boundary between them.
-  for (const double p : {1e-4, 0.008, 0.0999, 0.1, 0.3}) {
+  for (const double p : {1e-6, 1e-4, 1e-3, 0.005, 0.008, 0.02, 0.05, 0.08,
+                         0.0999, 0.1, 0.3}) {
     const ChipErrorRate rate(p);
     for (const std::uint64_t seed : {1u, 66u, 4242u}) {
       Rng a(seed), b(seed);

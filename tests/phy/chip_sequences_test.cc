@@ -148,6 +148,19 @@ TEST(ChipCodebookTest, DistanceReportedIsMinimumOverCodebook) {
   for (int trial = 0; trial < 20000; ++trial) {
     words.push_back(static_cast<ChipWord>(rng.Next()));
   }
+  // Every byte value at every byte position, the other three bytes
+  // random: a decoder that works on the word byte by byte meets each of
+  // its per-byte cases here.
+  for (int b = 0; b < 4; ++b) {
+    const ChipWord keep = ~(ChipWord{0xFF} << (8 * b));
+    for (ChipWord v = 0; v < 256; ++v) {
+      for (int fill = 0; fill < 16; ++fill) {
+        words.push_back((static_cast<ChipWord>(rng.Next()) & keep) |
+                        (v << (8 * b)));
+      }
+    }
+  }
+  ASSERT_EQ(words.size(), 16u * 5489u + 20000u + 4u * 256u * 16u);
   std::size_t ties = 0;
   for (const ChipWord word : words) {
     int reported = -1;
