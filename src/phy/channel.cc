@@ -66,7 +66,15 @@ void MixInto(SampleVec& mix, const SampleVec& signal, std::size_t offset,
 
 ChipErrorRate::ChipErrorRate(double p)
     : p_(p),
-      log1mp_(p > 0.0 && p < kGeometricBelow ? std::log1p(-p) : 0.0) {}
+      log1mp_(p > 0.0 && p < kGeometricBelow ? std::log1p(-p) : 0.0) {
+  if (log1mp_ == 0.0) return;
+  const double q = std::exp(log1mp_);
+  double below = 1.0 - 1e-12;
+  for (double& b : break_below_) {
+    b = below;
+    below *= q;
+  }
+}
 
 std::uint32_t SampleChipErrorMask(Rng& rng, const ChipErrorRate& rate) {
   const double p = rate.p();
@@ -78,6 +86,8 @@ std::uint32_t SampleChipErrorMask(Rng& rng, const ChipErrorRate& rate) {
     double position = 0.0;
     for (;;) {
       double u = rng.UniformDouble();
+      // The draw that ends the mask, decided without the logarithm.
+      if (u < rate.break_below(32 - static_cast<int>(position))) break;
       if (u < 1e-300) u = 1e-300;
       position += std::floor(std::log(u) / rate.log1mp()) + 1.0;
       if (position > 32.0) break;

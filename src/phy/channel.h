@@ -4,6 +4,7 @@
 // CC2420 senders and the USRP receivers of the paper's testbed.
 #pragma once
 
+#include <array>
 #include <cstddef>
 
 #include "common/rng.h"
@@ -45,8 +46,21 @@ void MixInto(SampleVec& mix, const SampleVec& signal, std::size_t offset,
 
 // A per-chip flip probability in the form SampleChipErrorMask draws
 // from. Below 0.1 the sampler jumps between error positions with
-// geometric skips of scale log1p(-p); that logarithm is taken once
+// geometric skips of scale l = log1p(-p); that logarithm is taken once
 // here, where a caller chooses p, not once per 32-chip draw.
+//
+// With r chips left, a skip drawn from uniform u ends the mask when
+// floor(log(u) / l) >= r, that is when u <= (1-p)^r. Every mask ends
+// with such a draw, so break_below(r) = (1 - 1e-12) * q^r, q = exp(l),
+// lets the sampler end it without the logarithm: a u below it is a draw
+// the logarithm would end too. Why the 1e-12 guard is safe: under it the
+// true log(u)/l exceeds r by at least 1e-12/|l|, which is 9e-12 or more
+// because |l| < 0.106 below p = 0.1. The computed log(u)/l is within
+// about 2 ulp of the true one, at most 1.5e-14 absolute for r <= 32,
+// and the 33 products of the table round by less than 6e-15 relative;
+// the guard is at least 150 times either. A u at or above the guard
+// takes the logarithm as before, so the sampler consumes the same
+// uniforms and returns the same masks.
 class ChipErrorRate {
  public:
   explicit ChipErrorRate(double p);
@@ -54,10 +68,16 @@ class ChipErrorRate {
   double p() const { return p_; }
   // log1p(-p) when the sampler skips geometrically (0 < p < 0.1).
   double log1mp() const { return log1mp_; }
+  // (1 - 1e-12) * exp(log1mp())^r for r = 0..32 chips left when the
+  // sampler skips geometrically; 0 (never taken) otherwise.
+  double break_below(int r) const {
+    return break_below_[static_cast<std::size_t>(r)];
+  }
 
  private:
   double p_;
   double log1mp_;
+  std::array<double, 33> break_below_{};
 };
 
 // Draws a 32-chip error mask where each chip flips independently with

@@ -196,6 +196,31 @@ TEST(SampleChipErrorMaskTest, RateFormDrawsThePerCallFormulasMasks) {
   }
 }
 
+// The guard that ends a mask without the logarithm, checked at its edge
+// with no RNG. With r chips left, u = break_below(r) and the doubles
+// just below it are draws the logarithm ends; u = q^r * (1 + 1e-9) is
+// one it continues, and it is not below the guard.
+TEST(SampleChipErrorMaskTest, BreakGuardEndsOnlyDrawsTheLogarithmEnds) {
+  for (const double p :
+       {1e-6, 1e-4, 1e-3, 0.005, 0.008, 0.02, 0.05, 0.08, 0.0999}) {
+    const ChipErrorRate rate(p);
+    const double q = std::exp(rate.log1mp());
+    for (int r = 0; r <= 32; ++r) {
+      double u = rate.break_below(r);
+      for (int below = 0; below <= 8; ++below) {
+        ASSERT_GE(std::floor(std::log(u) / rate.log1mp()), r)
+            << "p " << p << " r " << r << " u " << u;
+        u = std::nextafter(u, 0.0);
+      }
+      if (r == 0) continue;
+      const double continued = std::pow(q, r) * (1.0 + 1e-9);
+      ASSERT_LT(std::floor(std::log(continued) / rate.log1mp()), r)
+          << "p " << p << " r " << r;
+      EXPECT_GE(continued, rate.break_below(r)) << "p " << p << " r " << r;
+    }
+  }
+}
+
 // The sampled error rate must match p across both sampler branches
 // (geometric skipping below 0.1, per-chip Bernoulli above).
 class ChipErrorMaskTest : public ::testing::TestWithParam<double> {};
