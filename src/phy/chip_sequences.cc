@@ -44,6 +44,47 @@ constexpr std::array<ChipWord, kNumSymbols> BuildTable() {
 
 constexpr std::array<ChipWord, kNumSymbols> kTable = BuildTable();
 
+// DecodeHard's byte-sliced distance table: kSlices[b][v][s] is the
+// Hamming distance between byte b of symbol s's codeword and the byte
+// value v. The four rows a word's bytes select add up to its distance
+// from all sixteen codewords, at most 32, so one byte per symbol.
+using SliceRow = std::array<std::uint8_t, kNumSymbols>;
+
+constexpr std::array<std::array<SliceRow, 256>, 4> BuildSlices() {
+  std::array<std::array<SliceRow, 256>, 4> slices{};
+  for (std::size_t b = 0; b < 4; ++b) {
+    for (std::size_t v = 0; v < 256; ++v) {
+      for (std::size_t s = 0; s < kNumSymbols; ++s) {
+        slices[b][v][s] = static_cast<std::uint8_t>(
+            PopCount(((kTable[s] >> (8 * b)) & 0xFFu) ^ v));
+      }
+    }
+  }
+  return slices;
+}
+
+alignas(16) constexpr std::array<std::array<SliceRow, 256>, 4> kSlices =
+    BuildSlices();
+
+// Sixteen bytes as one GCC/Clang vector, and the same bits as two 64-bit
+// lanes. Only operators both compilers document are used on them; on
+// x86-64 they compile to baseline SSE2 (paddb, pminub, pcmpeqb).
+using ByteVec = std::uint8_t __attribute__((vector_size(16)));
+using LaneVec = std::uint64_t __attribute__((vector_size(16)));
+
+ByteVec SliceRowFor(std::size_t b, ChipWord word) {
+  return std::bit_cast<ByteVec>(kSlices[b][(word >> (8 * b)) & 0xFFu]);
+}
+
+ByteVec Min(ByteVec a, ByteVec b) { return a < b ? a : b; }
+
+// Per 64-bit lane, bit i of byte i of a match mask (0x00 or 0xFF
+// bytes); the multiply adds the eight bits into the top byte.
+unsigned GatherByteBits(std::uint64_t lane) {
+  return static_cast<unsigned>(
+      ((lane & 0x8040201008040201ull) * 0x0101010101010101ull) >> 56);
+}
+
 }  // namespace
 
 ChipWord ChipCodebook::Codeword(int symbol) const {
@@ -63,17 +104,25 @@ BitVec ChipCodebook::CodewordBits(int symbol) const {
 }
 
 int ChipCodebook::DecodeHard(ChipWord received, int* distance) const {
-  int best_symbol = 0;
-  int best_distance = std::numeric_limits<int>::max();
-  for (int s = 0; s < kNumSymbols; ++s) {
-    const int d = ChipHamming(received, kTable[static_cast<std::size_t>(s)]);
-    if (d < best_distance) {
-      best_distance = d;
-      best_symbol = s;
-    }
-  }
-  if (distance != nullptr) *distance = best_distance;
-  return best_symbol;
+  const ByteVec d = SliceRowFor(0, received) + SliceRowFor(1, received) +
+                    SliceRowFor(2, received) + SliceRowFor(3, received);
+  // Fold the minimum into byte 0: across the two lanes, then within each
+  // lane over 32-, 16- and 8-bit shifts.
+  const LaneVec lanes = std::bit_cast<LaneVec>(d);
+  ByteVec m = Min(d, std::bit_cast<ByteVec>(LaneVec{lanes[1], lanes[0]}));
+  m = Min(m, std::bit_cast<ByteVec>(std::bit_cast<LaneVec>(m) >> 32));
+  m = Min(m, std::bit_cast<ByteVec>(std::bit_cast<LaneVec>(m) >> 16));
+  m = Min(m, std::bit_cast<ByteVec>(std::bit_cast<LaneVec>(m) >> 8));
+  const std::uint8_t best = m[0];
+  // Bit s set for every symbol s at the minimum; the lowest is the
+  // smallest-symbol tie rule.
+  const std::uint64_t spread = best * 0x0101010101010101ull;
+  const LaneVec hits = std::bit_cast<LaneVec>(
+      d == std::bit_cast<ByteVec>(LaneVec{spread, spread}));
+  const unsigned at_best =
+      GatherByteBits(hits[0]) | GatherByteBits(hits[1]) << 8;
+  if (distance != nullptr) *distance = best;
+  return std::countr_zero(at_best);
 }
 
 int ChipCodebook::DecodeSoft(const std::array<double, kChipsPerSymbol>& soft,

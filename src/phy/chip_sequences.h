@@ -43,6 +43,14 @@ class ChipCodebook {
   // Hamming distance to `received`, and writes that distance (the SoftPHY
   // hint of section 3.2) to `*distance`. Ties resolve to the smallest
   // symbol value, deterministically.
+  //
+  // No scan over the sixteen codewords: a compile-time table of 4 x 256
+  // rows of 16 bytes holds, for each byte position and byte value, that
+  // byte's distance to every codeword. The four rows the word's bytes
+  // select add up to all sixteen distances in one 16-byte vector, whose
+  // minimum and lowest index at the minimum give the result. The one
+  // body is written with GCC/Clang vector extensions: no intrinsics, no
+  // build flag and no runtime dispatch (baseline SSE2 on x86-64).
   int DecodeHard(ChipWord received, int* distance) const;
 
   // Soft-decision decode (section 3.1, "correlation metric"): `soft`
