@@ -81,16 +81,18 @@ std::vector<phy::DecodedSymbol> InitialSymbolsFromCapture(
 
 std::uint8_t DecodeXorNibble(const phy::ChipCodebook& codebook,
                              phy::ChipWord word, int* distance) {
+  // The first (x, y) pair at the smallest distance, x then y ascending:
+  // DecodeHard gives the first y at x's own minimum, and only a
+  // strictly closer x replaces it. A pair (x, y) with x > y is never
+  // first, since (y, x) is as close and comes earlier.
   int best = std::numeric_limits<int>::max();
   std::uint8_t best_xor = 0;
-  for (int x = 0; x < 16; ++x) {
-    const phy::ChipWord cx = codebook.Codeword(x);
-    for (int y = x; y < 16; ++y) {
-      const int d = phy::ChipHamming(word ^ cx, codebook.Codeword(y));
-      if (d < best) {
-        best = d;
-        best_xor = static_cast<std::uint8_t>(x ^ y);
-      }
+  for (int x = 0; x < phy::kNumSymbols; ++x) {
+    int d = 0;
+    const int y = codebook.DecodeHard(word ^ codebook.Codeword(x), &d);
+    if (d < best) {
+      best = d;
+      best_xor = static_cast<std::uint8_t>(x ^ y);
     }
   }
   if (distance != nullptr) *distance = best;

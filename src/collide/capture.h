@@ -78,12 +78,14 @@ std::vector<phy::DecodedSymbol> InitialSymbolsFromCapture(
 
 // Decodes the XOR value x ^ y from a superposed chip word
 // w ~ chips(x) ^ chips(y) (+ noise) by searching all 256 codeword
-// pairs: the returned value is the nibble XOR of the closest pair and
-// `*distance` its chip Hamming distance — a genuine SoftPHY-style
-// confidence for the superposition itself. The DSSS codebook is not
-// GF(2)-linear, so this pairwise search is how a chip-level XOR of two
-// unknown codewords becomes a DATA-level XOR constraint (the raw
-// material of the ledger's cross-cancelled GF(256) equations).
+// pairs, as one DecodeHard of w ^ chips(x) per x: the returned value is
+// the nibble XOR of the closest pair (the first in x-then-y order on a
+// tie) and `*distance` its chip Hamming distance — a genuine
+// SoftPHY-style confidence for the superposition itself. The DSSS
+// codebook is not GF(2)-linear, so this pairwise search is how a
+// chip-level XOR of two unknown codewords becomes a DATA-level XOR
+// constraint (the raw material of the ledger's cross-cancelled GF(256)
+// equations).
 std::uint8_t DecodeXorNibble(const phy::ChipCodebook& codebook,
                              phy::ChipWord word, int* distance);
 
