@@ -190,19 +190,15 @@ void ReceiverModel::ProcessReceiver(
       const double w0 = t.start_s + static_cast<double>(cw) * kCodewordSeconds;
       const double w1 = w0 + kCodewordSeconds;
       const auto segment = static_cast<std::int64_t>(w0 / coherence);
-      double p_signal_mw = p_signal_avg_mw;
-      if (config_.fading_enabled) {
-        p_signal_mw *= fading_gain(signal_fading, t.sender, segment);
-      }
+      const double p_signal_mw =
+          p_signal_avg_mw * fading_gain(signal_fading, t.sender, segment);
       double interference_mw = 0.0;
       for (auto& intf : interferers) {
         const double overlap =
             std::min(w1, intf.end) - std::max(w0, intf.start);
         if (overlap > 0.0) {
-          double p = intf.power_mw;
-          if (config_.fading_enabled) {
-            p *= fading_gain(intf.fading, intf.sender, segment);
-          }
+          const double p =
+              intf.power_mw * fading_gain(intf.fading, intf.sender, segment);
           interference_mw += p * (overlap / kCodewordSeconds);
         }
       }

@@ -89,7 +89,6 @@ struct ReceiverModelConfig {
   // paper's "only a small number of bits in a packet are in error".
   double fading_coherence_s = 0.008;
   double ricean_k = 1.5;
-  bool fading_enabled = true;
   std::uint64_t seed = 1234;
 };
 

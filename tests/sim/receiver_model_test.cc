@@ -23,6 +23,11 @@ struct TwoNodeWorld {
   }
 };
 
+// A Ricean K so large that fading is off: mu = sqrt(K / (K + 1)) rounds
+// to 1 and sigma = sqrt(0.5 / (K + 1)) to 7e-151, so every block gain
+// x^2 + y^2 is exactly 1.0 and each codeword sees the mean SINR.
+constexpr double kNoFading = 1e300;
+
 ReceiverModelConfig SmallFrames() {
   ReceiverModelConfig config;
   config.payload_octets = 100;
@@ -31,7 +36,7 @@ ReceiverModelConfig SmallFrames() {
   // the stochastic link impairments are covered by their own tests.
   config.impairment_rate = 0.0;
   config.good_chip_floor = 0.0;
-  config.fading_enabled = false;
+  config.ricean_k = kNoFading;
   return config;
 }
 
@@ -214,7 +219,7 @@ TEST(ReceiverModelTest, ImpairmentBurstRateVariesPerLink) {
   ReceiverModelConfig config;
   config.payload_octets = 200;
   config.seed = 7;
-  config.fading_enabled = false;  // isolate the impairment process
+  config.ricean_k = kNoFading;  // isolate the impairment process
   config.impairment_rate = 2e-3;  // make bursts common enough to count
   const ReceiverModel model(medium, config);
   const double chips = static_cast<double>(model.Layout().TotalChips());
@@ -249,7 +254,7 @@ TEST(ReceiverModelTest, ImpairmentBurstsAreContiguous) {
   ReceiverModelConfig config;
   config.payload_octets = 1500;
   config.seed = 9;
-  config.fading_enabled = false;
+  config.ricean_k = kNoFading;
   config.impairment_rate = 3e-3;
   config.impairment_spread_sigma = 0.0;  // same rate for the one link
   config.good_chip_floor = 0.0;
@@ -286,7 +291,6 @@ TEST(ReceiverModelTest, FadingCreatesBurstyErrorsOnMarginalLink) {
   config.seed = 7;
   config.impairment_rate = 0.0;
   config.good_chip_floor = 0.0;
-  config.fading_enabled = true;
   config.ricean_k = 0.5;  // deep fades
   const ReceiverModel model(medium, config);
   const double chips = static_cast<double>(model.Layout().TotalChips());
