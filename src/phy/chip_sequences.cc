@@ -4,6 +4,8 @@
 #include <cassert>
 #include <limits>
 
+#include "common/popcount.h"
+
 namespace ppr::phy {
 namespace {
 
@@ -154,8 +156,8 @@ int ChipCodebook::MinPairwiseDistance() const {
   int min_d = kChipsPerSymbol;
   for (int a = 0; a < kNumSymbols; ++a) {
     for (int b = a + 1; b < kNumSymbols; ++b) {
-      min_d = std::min(min_d, ChipHamming(kTable[static_cast<std::size_t>(a)],
-                                          kTable[static_cast<std::size_t>(b)]));
+      min_d = std::min(min_d, PopCount(kTable[static_cast<std::size_t>(a)] ^
+                                       kTable[static_cast<std::size_t>(b)]));
     }
   }
   return min_d;

@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "common/bitvec.h"
-#include "common/popcount.h"
 
 namespace ppr::phy {
 
@@ -66,8 +65,5 @@ class ChipCodebook {
   // a property of the codebook used to reason about hint quality.
   int MinPairwiseDistance() const;
 };
-
-// Hamming distance between two packed chip words.
-constexpr int ChipHamming(ChipWord a, ChipWord b) { return PopCount(a ^ b); }
 
 }  // namespace ppr::phy
