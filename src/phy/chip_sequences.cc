@@ -74,6 +74,10 @@ alignas(16) constexpr std::array<std::array<SliceRow, 256>, 4> kSlices =
 using ByteVec = std::uint8_t __attribute__((vector_size(16)));
 using LaneVec = std::uint64_t __attribute__((vector_size(16)));
 
+// The lane shifts and the bit gather take byte i of a lane to be its
+// bits 8i..8i+7.
+static_assert(std::endian::native == std::endian::little);
+
 ByteVec SliceRowFor(std::size_t b, ChipWord word) {
   return std::bit_cast<ByteVec>(kSlices[b][(word >> (8 * b)) & 0xFFu]);
 }
